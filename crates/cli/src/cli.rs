@@ -47,9 +47,9 @@ usage:
       writes one BENCH_<label>.json artifact
       per configuration (cycles, MACs/cycle, stall/conflict breakdown,
       per-core utilization) instead of printing a table; --host instead
-      benchmarks the *simulator* on this machine — the layer runs
-      interpreted and again under the decoded-block fast path (verified
-      bit-exact), and BENCH_host_throughput.json records simulated
+      benchmarks the *simulator* on this machine — the layer runs by
+      uncached reference steps and again by decoded-block replay
+      (verified bit-exact), and BENCH_host_throughput.json records simulated
       cycles/second for both, the speedup and the block-cache hit rate
   xpulpnn lint [<file.s>] [--races [--cores N]]
       statically verify a program: CFG + hardware-loop legality,
@@ -72,9 +72,10 @@ usage:
       --vector mixes the Xrvv vector instructions into the generated
       stream and lock-steps the vector unit too (registers, vl and
       SEW compared before every step, both cores at VLEN 128);
-      --fastpath instead lock-steps the decoded-block fast path
-      against the interpreter (PC, registers and perf counters compared
-      every step) over the same corpus, shrinking any divergence;
+      --fastpath instead lock-steps decoded-block replay against
+      uncached reference steps (PC, registers and perf counters
+      compared every step) over the same corpus, shrinking any
+      divergence;
       --crossval instead cross-validates the static analyzer: every
       generated program is linted and then executed with a dynamic
       uninit/out-of-bounds oracle (lint-clean programs must run
@@ -526,8 +527,8 @@ fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
 pub struct BenchOpts {
     /// Write `BENCH_<label>.json` artifacts instead of a table.
     pub json: bool,
-    /// Benchmark the simulator itself (interpreter vs. fast path) and
-    /// write `BENCH_host_throughput.json`.
+    /// Benchmark the simulator itself (reference steps vs. block
+    /// replay) and write `BENCH_host_throughput.json`.
     pub host: bool,
     /// Tensor seed.
     pub seed: u64,
@@ -595,7 +596,8 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `bench --host`: time the simulator itself on the Fig. 8 layer,
-/// interpreted vs. fast path, and write `BENCH_host_throughput.json`.
+/// reference steps vs. block replay, and write
+/// `BENCH_host_throughput.json`.
 fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
     let r = xpulpnn::bench::host_throughput(o.seed).map_err(|e| fail(e.to_string()))?;
     let path = std::path::Path::new(&o.out_dir).join("BENCH_host_throughput.json");
@@ -610,20 +612,20 @@ fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "interpreter     : {:.3}s  ({:.2} Mcycles/s)",
-        r.interp_secs,
-        r.interp_cps() / 1e6
+        "reference step  : {:.3}s  ({:.2} Mcycles/s)",
+        r.reference_secs,
+        r.reference_cps() / 1e6
     );
     let _ = writeln!(
         out,
-        "fast path       : {:.3}s  ({:.2} Mcycles/s)",
-        r.fast_secs,
-        r.fast_cps() / 1e6
+        "block replay    : {:.3}s  ({:.2} Mcycles/s)",
+        r.replay_secs,
+        r.replay_cps() / 1e6
     );
     let _ = writeln!(out, "speedup         : {:.2}x", r.speedup());
     let _ = writeln!(
         out,
-        "block cache     : {:.4} hit rate, {} blocks translated, {} interp fallbacks, {} invalidations",
+        "block cache     : {:.4} hit rate, {} blocks translated, {} reference fallbacks, {} invalidations",
         r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
     );
     let _ = writeln!(out, "wrote {}", path.display());
@@ -843,7 +845,7 @@ pub struct ConformanceOpts {
     /// interpreter: lint each generated program and execute it with a
     /// dynamic uninit/out-of-bounds oracle attached.
     pub crossval: bool,
-    /// Lock-step the decoded-block fast path against the interpreter
+    /// Lock-step decoded-block replay against uncached reference steps
     /// instead of the reference interpreter.
     pub fastpath: bool,
     /// Cross-validate the static SPMD race verifier against the
@@ -1677,7 +1679,7 @@ mod tests {
         assert!(dispatch(&v(&["--help"])).unwrap().contains("usage"));
     }
 
-    /// Satellite of the fast-path PR: a malformed numeric argument on
+    /// A malformed numeric argument on
     /// *any* subcommand is a typed usage error (exit code 2), never a
     /// panic and never a runtime failure. Exercised through `dispatch`
     /// so the per-subcommand wiring is covered, not just the parsers.

@@ -1,24 +1,26 @@
-//! Lock-step oracle for the decoded-block fast path.
+//! Lock-step oracle for decoded-block replay.
 //!
 //! [`diff`](crate::diff) pits `riscv-core` against an independent
 //! reference interpreter; this module pits `riscv-core` against
-//! *itself*: the same fuzzer corpus runs on an interpreter-only core
-//! and on a fast-path-enabled core over identical memory images, with
-//! PC, registers and perf counters compared before every step and the
-//! full memory image at the halt. The fast path shares the execution
-//! routine with the interpreter by construction, so the only code this
-//! suite can catch is the part that differs — block formation, cache
-//! lookup, invalidation, and the fallback decisions. That is exactly
-//! the part that needs an oracle.
+//! *itself*: the same fuzzer corpus runs on a core driven by
+//! [`Core::reference_step`] (fetch, decode, check, execute — no block
+//! cache) and on a core driven by [`Core::step`] (per-op cached
+//! replay) over identical memory images, with PC, registers and perf
+//! counters compared before every step and the full memory image at
+//! the halt. Replay shares its execution semantics with the reference
+//! step by construction, so the only code this suite can catch is the
+//! part that differs — block formation, cache lookup, specialization,
+//! invalidation, and the fallback decisions. That is exactly the part
+//! that needs an oracle.
 //!
-//! Per-step lockstep alone never enters the *batched* block-replay
-//! engine ([`Core::run`]'s burst executor) — stepping resolves one op
-//! at a time. So every case that reaches agreement is replayed a third
-//! time, whole-program through `run()`, and the final registers, perf
-//! counters and memory image are held to the interpreter's. Halting
-//! replays get a cycle budget of *exactly* the interpreter's final
-//! cycle count, which additionally pins the watchdog boundary: a fast
-//! path that over- or under-charges even one cycle trips the budget.
+//! Per-step lockstep alone never enters the *batched* burst executor
+//! ([`Core::run`]) — stepping resolves one op at a time. So every case
+//! that reaches agreement is replayed a third time, whole-program
+//! through `run()`, and the final registers, perf counters and memory
+//! image are held to the reference side's. Halting replays get a cycle
+//! budget of *exactly* the reference side's final cycle count, which
+//! additionally pins the watchdog boundary: a replay that over- or
+//! under-charges even one cycle trips the budget.
 //!
 //! Divergences feed the same ddmin shrinker as the reference diff
 //! (via [`shrink_with`]) and print a `--fastpath` replay command.
@@ -29,12 +31,12 @@ use crate::shrink::shrink_with;
 use crate::{case_seed, diff};
 use riscv_core::{Core, FastBug, IsaConfig, SliceMem, Trap};
 
-/// Configuration of a fast-path lockstep run.
+/// Configuration of a block-replay lockstep run.
 #[derive(Debug, Clone)]
 pub struct FastDiffConfig {
     /// Program-generator knobs (same corpus as the reference diff).
     pub gen: GenConfig,
-    /// Bug injected into the fast path (testing only).
+    /// Bug injected into block replay (testing only).
     pub bug: FastBug,
     /// Per-case step budget; exceeding it is reported as a divergence.
     pub max_steps: u64,
@@ -50,7 +52,7 @@ impl Default for FastDiffConfig {
     }
 }
 
-/// The exact command that replays one fast-path lockstep case.
+/// The exact command that replays one block-replay lockstep case.
 pub fn fast_replay_command(case_seed: u64) -> String {
     format!("xpulpnn conformance --fastpath --cases 1 --seed {case_seed}")
 }
@@ -65,187 +67,150 @@ fn staged_mem(spec: &ProgramSpec) -> SliceMem {
     mem
 }
 
-/// Replays the whole program on a third, fast-path-enabled core via
-/// [`Core::run`] — the batched block-replay engine the per-step
-/// lockstep never enters — and diffs its final architectural state
-/// against the interpreter's. `expected_trap` is the trap the
-/// interpreter ended on, if any; a halting program instead runs under
-/// a cycle budget of exactly the interpreter's final cycle count, so
-/// any fast-path cycle drift surfaces as a spurious watchdog.
+/// The first difference of `replay`'s state from `oracle`'s: pc,
+/// registers, then perf counters.
+fn core_delta(replay: &Core, oracle: &Core) -> Option<String> {
+    if replay.pc != oracle.pc {
+        Some(format!(
+            "pc: replay {:#010x} reference {:#010x}",
+            replay.pc, oracle.pc
+        ))
+    } else if replay.regs != oracle.regs {
+        Some(format!(
+            "registers: {}",
+            reg_delta(&replay.regs, &oracle.regs)
+        ))
+    } else if replay.perf != oracle.perf {
+        Some(format!(
+            "perf: replay {:?} reference {:?}",
+            replay.perf, oracle.perf
+        ))
+    } else {
+        None
+    }
+}
+
+/// The first byte where `replay`'s memory image differs from `oracle`'s.
+fn mem_delta(replay: &SliceMem, oracle: &SliceMem) -> Option<String> {
+    let (r, o) = (replay.as_bytes(), oracle.as_bytes());
+    let i = r.iter().zip(o).position(|(a, b)| a != b)?;
+    Some(format!(
+        "memory byte at {:#010x}: replay {:#04x} reference {:#04x}",
+        CODE_BASE + i as u32,
+        r[i],
+        o[i]
+    ))
+}
+
+/// Replays the whole program on a third core via [`Core::run`] — the
+/// burst executor the per-step lockstep never enters — and diffs its
+/// final architectural state against the reference side's.
+/// `expected_trap` is the trap the reference side ended on, if any; a
+/// halting program instead runs under a cycle budget of exactly the
+/// reference side's final cycle count, so any replay cycle drift
+/// surfaces as a spurious watchdog.
 fn bulk_delta(
     spec: &ProgramSpec,
     bug: FastBug,
-    interp: &Core,
-    mem_i: &SliceMem,
+    oracle: &Core,
+    mem_o: &SliceMem,
     expected_trap: Option<&Trap>,
 ) -> Option<String> {
     let mut mem_b = staged_mem(spec);
     let mut bulk = Core::new(IsaConfig::xpulpnn());
-    bulk.enable_fastpath();
     bulk.set_fastpath_bug(bug);
     bulk.pc = CODE_BASE;
     let budget = match expected_trap {
         // Traps end mid-op; leave headroom so the watchdog cannot
         // preempt the trap we are trying to reproduce.
-        Some(_) => interp.perf.cycles + 8,
-        None => interp.perf.cycles,
+        Some(_) => oracle.perf.cycles + 8,
+        None => oracle.perf.cycles,
     };
     match (expected_trap, bulk.run(&mut mem_b, budget)) {
         (None, Ok(_)) => {}
         (Some(ti), Err(tb)) if *ti == tb => {}
         (None, Err(tb)) => return Some(format!("bulk run trapped: {tb}")),
         (Some(ti), Ok(_)) => return Some(format!("bulk run halted instead of trapping ({ti})")),
-        (Some(ti), Err(tb)) => return Some(format!("bulk trap: bulk {tb} interp {ti}")),
+        (Some(ti), Err(tb)) => return Some(format!("bulk trap: replay {tb} reference {ti}")),
     }
-    if bulk.pc != interp.pc {
-        return Some(format!(
-            "bulk pc: bulk {:#010x} interp {:#010x}",
-            bulk.pc, interp.pc
-        ));
-    }
-    if bulk.regs != interp.regs {
-        return Some(format!(
-            "bulk registers: {}",
-            reg_delta(&bulk.regs, &interp.regs)
-        ));
-    }
-    if bulk.perf != interp.perf {
-        return Some(format!(
-            "bulk perf: bulk {:?} interp {:?}",
-            bulk.perf, interp.perf
-        ));
-    }
-    if mem_b.as_bytes() != mem_i.as_bytes() {
-        let i = mem_b
-            .as_bytes()
-            .iter()
-            .zip(mem_i.as_bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return Some(format!(
-            "bulk memory byte at {:#010x}: bulk {:#04x} interp {:#04x}",
-            CODE_BASE + i as u32,
-            mem_b.as_bytes()[i],
-            mem_i.as_bytes()[i]
-        ));
-    }
-    None
+    core_delta(&bulk, oracle)
+        .or_else(|| mem_delta(&mem_b, mem_o))
+        .map(|d| format!("bulk {d}"))
 }
 
-/// Runs one already-generated program on an interpreter core and a
-/// fast-path core in lock-step, comparing architectural state *and*
+/// Runs one already-generated program on a reference-step core and a
+/// cached-step core in lock-step, comparing architectural state *and*
 /// perf counters before every step.
 pub fn run_fast_spec(spec: &ProgramSpec, bug: FastBug, max_steps: u64) -> CaseOutcome {
-    let mut mem_i = staged_mem(spec);
+    let mut mem_o = staged_mem(spec);
     let mut mem_f = staged_mem(spec);
 
-    // The interpreter side carries the tracer (a tracer forces pure
-    // interpretation, so it must not sit on the fast-path side).
-    let mut interp = Core::new(IsaConfig::xpulpnn());
-    interp.attach_tracer(32);
-    interp.pc = CODE_BASE;
+    // The reference side carries the tracer for divergence context.
+    let mut oracle = Core::new(IsaConfig::xpulpnn());
+    oracle.attach_tracer(32);
+    oracle.pc = CODE_BASE;
     let mut fast = Core::new(IsaConfig::xpulpnn());
-    fast.enable_fastpath();
     fast.set_fastpath_bug(bug);
     fast.pc = CODE_BASE;
 
-    let diverge = |step: u64, pc: u32, detail: String, interp: &Core| {
+    let diverge = |step: u64, pc: u32, detail: String, oracle: &Core| {
         CaseOutcome::Diverged(Box::new(Divergence {
             step,
             pc,
             detail,
-            context: interp
+            context: oracle
                 .tracer()
                 .map(riscv_core::ExecTracer::dump_tail)
                 .unwrap_or_default(),
         }))
     };
-    let state_delta = |interp: &Core, fast: &Core| -> Option<String> {
-        if fast.pc != interp.pc {
-            return Some(format!(
-                "pc: fast {:#010x} interp {:#010x}",
-                fast.pc, interp.pc
-            ));
-        }
-        if fast.regs != interp.regs {
-            return Some(format!(
-                "registers: {}",
-                reg_delta(&fast.regs, &interp.regs)
-            ));
-        }
-        if fast.perf != interp.perf {
-            return Some(format!(
-                "perf: fast {:?} interp {:?}",
-                fast.perf, interp.perf
-            ));
-        }
-        None
-    };
 
     for step in 0..max_steps {
-        if let Some(detail) = state_delta(&interp, &fast) {
-            return diverge(step, interp.pc, detail, &interp);
+        if let Some(detail) = core_delta(&fast, &oracle) {
+            return diverge(step, oracle.pc, detail, &oracle);
         }
-        let pc = interp.pc;
-        let ri = interp.step(&mut mem_i);
+        let pc = oracle.pc;
+        let ri = oracle.reference_step(&mut mem_o);
         let rf = fast.step(&mut mem_f);
         match (ri, rf) {
             (Err(ti), Err(tf)) if ti == tf => {
                 // An identical trap at identical state is agreement —
-                // the fast path must surface the interpreter's trap
+                // replay must surface the reference step's trap
                 // exactly, nothing more.
-                if let Some(detail) = state_delta(&interp, &fast) {
-                    return diverge(step + 1, interp.pc, format!("at trap, {detail}"), &interp);
+                if let Some(detail) = core_delta(&fast, &oracle) {
+                    return diverge(step + 1, oracle.pc, format!("at trap, {detail}"), &oracle);
                 }
-                return match bulk_delta(spec, bug, &interp, &mem_i, Some(&ti)) {
-                    Some(detail) => diverge(step + 1, interp.pc, detail, &interp),
+                return match bulk_delta(spec, bug, &oracle, &mem_o, Some(&ti)) {
+                    Some(detail) => diverge(step + 1, oracle.pc, detail, &oracle),
                     None => CaseOutcome::Pass { steps: step + 1 },
                 };
             }
             (Err(ti), rf) => {
                 let detail = match rf {
-                    Err(tf) => format!("trap: fast {tf} interp {ti}"),
-                    Ok(_) => format!("trap on interp side only: {ti}"),
+                    Err(tf) => format!("trap: replay {tf} reference {ti}"),
+                    Ok(_) => format!("trap on reference side only: {ti}"),
                 };
-                return diverge(step, pc, detail, &interp);
+                return diverge(step, pc, detail, &oracle);
             }
             (Ok(_), Err(tf)) => {
-                return diverge(step, pc, format!("trap on fast side only: {tf}"), &interp)
+                return diverge(step, pc, format!("trap on replay side only: {tf}"), &oracle)
             }
             (Ok(hi), Ok(hf)) => {
                 if hi != hf {
                     return diverge(
                         step,
                         pc,
-                        format!("halt: fast {hf} interp {hi} (ecall seen on one side only)"),
-                        &interp,
+                        format!("halt: replay {hf} reference {hi} (ecall seen on one side only)"),
+                        &oracle,
                     );
                 }
                 if hi {
-                    if let Some(detail) = state_delta(&interp, &fast) {
-                        return diverge(step + 1, interp.pc, format!("final {detail}"), &interp);
-                    }
-                    if mem_f.as_bytes() != mem_i.as_bytes() {
-                        let i = mem_f
-                            .as_bytes()
-                            .iter()
-                            .zip(mem_i.as_bytes())
-                            .position(|(a, b)| a != b)
-                            .unwrap_or(0);
-                        return diverge(
-                            step + 1,
-                            interp.pc,
-                            format!(
-                                "final memory byte at {:#010x}: fast {:#04x} interp {:#04x}",
-                                CODE_BASE + i as u32,
-                                mem_f.as_bytes()[i],
-                                mem_i.as_bytes()[i]
-                            ),
-                            &interp,
-                        );
-                    }
-                    return match bulk_delta(spec, bug, &interp, &mem_i, None) {
-                        Some(detail) => diverge(step + 1, interp.pc, detail, &interp),
+                    let end = core_delta(&fast, &oracle)
+                        .or_else(|| mem_delta(&mem_f, &mem_o))
+                        .map(|d| format!("final {d}"))
+                        .or_else(|| bulk_delta(spec, bug, &oracle, &mem_o, None));
+                    return match end {
+                        Some(detail) => diverge(step + 1, oracle.pc, detail, &oracle),
                         None => CaseOutcome::Pass { steps: step + 1 },
                     };
                 }
@@ -254,21 +219,21 @@ pub fn run_fast_spec(spec: &ProgramSpec, bug: FastBug, max_steps: u64) -> CaseOu
     }
     diverge(
         max_steps,
-        interp.pc,
+        oracle.pc,
         format!("step budget ({max_steps}) exhausted: program did not halt"),
-        &interp,
+        &oracle,
     )
 }
 
-/// Generates the program for `seed` and runs it through the fast-path
-/// lockstep check.
+/// Generates the program for `seed` and runs it through the
+/// block-replay lockstep check.
 pub fn run_fast_case(seed: u64, cfg: &FastDiffConfig) -> (ProgramSpec, CaseOutcome) {
     let spec = gen::generate(seed, &cfg.gen);
     let outcome = run_fast_spec(&spec, cfg.bug, cfg.max_steps);
     (spec, outcome)
 }
 
-/// Runs `cases` fast-path lockstep cases seeded from `master`,
+/// Runs `cases` block-replay lockstep cases seeded from `master`,
 /// stopping at (and shrinking) the first divergence.
 pub fn run_fast_suite(master: u64, cases: u64, cfg: &FastDiffConfig) -> SuiteReport {
     for index in 0..cases {
@@ -304,21 +269,20 @@ pub fn run_fast_suite(master: u64, cases: u64, cfg: &FastDiffConfig) -> SuiteRep
 mod tests {
     use super::*;
 
-    /// The real fast path survives the fuzzer corpus: a healthy slice
+    /// Real block replay survives the fuzzer corpus: a healthy slice
     /// of the same generated programs the reference diff runs, in
     /// lockstep, with perf counters held bit-exact at every step.
     #[test]
     fn fast_path_agrees_with_interpreter_over_the_corpus() {
         let report = run_fast_suite(0xFA57_C0DE, 200, &FastDiffConfig::default());
         if let Some(f) = &report.failure {
-            panic!("fast path diverged:\n{f}");
+            panic!("block replay diverged:\n{f}");
         }
         assert_eq!(report.cases_run, 200);
     }
 
-    /// Satellite proof that the oracle has teeth: a deliberately buggy
-    /// fast path (redirects squashed to sequential execution) is
-    /// caught, and the shrinker lands a repro of at most 8
+    /// Proof that the oracle has teeth: deliberately buggy block
+    /// replay (redirects squashed to sequential execution) is caught, and the shrinker lands a repro of at most 8
     /// instructions with the exact `--fastpath` replay command.
     #[test]
     fn shrinker_minimizes_an_injected_fast_path_bug() {
@@ -348,7 +312,7 @@ mod tests {
 
     /// A divergence report names the first bad step; for the squashed
     /// redirect that must be a control-flow boundary, and replaying the
-    /// shrunk listing under the clean fast path passes.
+    /// shrunk listing under clean block replay passes.
     #[test]
     fn clean_fast_path_passes_the_case_the_bug_fails() {
         let cfg = FastDiffConfig {

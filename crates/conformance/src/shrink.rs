@@ -30,7 +30,7 @@ pub fn shrink(spec: &ProgramSpec, bug: RefBug, max_steps: u64) -> ProgramSpec {
 
 /// [`shrink`] generalized over the divergence oracle: minimizes `spec`
 /// while `diverges` keeps returning true. Any lockstep comparison — the
-/// reference-interpreter diff, the fast-path-vs-interpreter check —
+/// reference-interpreter diff, the block-replay-vs-reference-step check —
 /// plugs in as the predicate and inherits the full ddmin + loop
 /// simplification machinery.
 pub fn shrink_with(spec: &ProgramSpec, diverges: impl Fn(&ProgramSpec) -> bool) -> ProgramSpec {

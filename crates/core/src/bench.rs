@@ -187,7 +187,8 @@ impl BenchRecord {
 }
 
 /// Host-side throughput of the simulator itself: the Fig. 8 4-bit
-/// layer, interpreted vs. the decoded-block fast path, on this machine.
+/// layer, driven by `Core::reference_step` alone vs. decoded-block
+/// replay (`Soc::run`), on this machine.
 ///
 /// Simulated results are bit-exact between the two runs (that identity
 /// is asserted before the record is built); only host wall-clock
@@ -200,55 +201,55 @@ pub struct HostThroughputRecord {
     pub cycles: u64,
     /// Instructions retired (identical on both paths).
     pub instret: u64,
-    /// Wall-clock seconds of the interpreted run.
-    pub interp_secs: f64,
-    /// Wall-clock seconds of the fast-path run.
-    pub fast_secs: f64,
-    /// Block-cache hit rate of the fast-path run (hits / lookups).
+    /// Wall-clock seconds of the reference-step run.
+    pub reference_secs: f64,
+    /// Wall-clock seconds of the block-replay run.
+    pub replay_secs: f64,
+    /// Block-cache hit rate of the replay run (hits / lookups).
     pub hit_rate: f64,
     /// Decoded-block cache lookups that missed and forced a translation
-    /// or an interpreter step.
+    /// or a reference step.
     pub misses: u64,
     /// Blocks translated during the run.
     pub translations: u64,
-    /// Ops the fast path punted to the interpreter (untranslatable).
+    /// Steps replay punted to a reference step (untranslatable PC).
     pub interp_fallbacks: u64,
     /// Whole-cache invalidations (restore, host writes, SMC).
     pub invalidations: u64,
 }
 
 impl HostThroughputRecord {
-    /// Simulated cycles per wall-clock second, interpreted.
-    pub fn interp_cps(&self) -> f64 {
-        self.cycles as f64 / self.interp_secs.max(1e-9)
+    /// Simulated cycles per wall-clock second, reference steps.
+    pub fn reference_cps(&self) -> f64 {
+        self.cycles as f64 / self.reference_secs.max(1e-9)
     }
 
-    /// Simulated cycles per wall-clock second, fast path.
-    pub fn fast_cps(&self) -> f64 {
-        self.cycles as f64 / self.fast_secs.max(1e-9)
+    /// Simulated cycles per wall-clock second, block replay.
+    pub fn replay_cps(&self) -> f64 {
+        self.cycles as f64 / self.replay_secs.max(1e-9)
     }
 
-    /// Wall-clock speedup of the fast path over the interpreter.
+    /// Wall-clock speedup of block replay over reference steps.
     pub fn speedup(&self) -> f64 {
-        self.interp_secs / self.fast_secs.max(1e-9)
+        self.reference_secs / self.replay_secs.max(1e-9)
     }
 
     /// Serializes the record as a self-contained JSON object.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"kernel\": \"{}\",\n  \"cycles\": {},\n  \"instret\": {},\n  \
-             \"interp_secs\": {:.6},\n  \"fast_secs\": {:.6},\n  \
-             \"interp_cycles_per_sec\": {:.0},\n  \"fast_cycles_per_sec\": {:.0},\n  \
+             \"reference_secs\": {:.6},\n  \"replay_secs\": {:.6},\n  \
+             \"reference_cycles_per_sec\": {:.0},\n  \"replay_cycles_per_sec\": {:.0},\n  \
              \"speedup\": {:.2},\n  \"block_cache_hit_rate\": {:.6},\n  \
              \"block_cache_misses\": {},\n  \"blocks_translated\": {},\n  \
              \"interp_fallbacks\": {},\n  \"invalidations\": {}\n}}",
             escape(&self.kernel),
             self.cycles,
             self.instret,
-            self.interp_secs,
-            self.fast_secs,
-            self.interp_cps(),
-            self.fast_cps(),
+            self.reference_secs,
+            self.replay_secs,
+            self.reference_cps(),
+            self.replay_cps(),
             self.speedup(),
             self.hit_rate,
             self.misses,
@@ -259,8 +260,8 @@ impl HostThroughputRecord {
     }
 }
 
-/// Measures host throughput on `cfg`: one interpreted run, one
-/// fast-path run, both verified against the golden model and against
+/// Measures host throughput on `cfg`: one run by reference steps, one
+/// block-replay run, both verified against the golden model and against
 /// each other (every counter bit-exact) before timing is reported.
 pub fn host_throughput_for(
     cfg: ConvKernelConfig,
@@ -268,39 +269,32 @@ pub fn host_throughput_for(
 ) -> Result<HostThroughputRecord, Error> {
     let tb = ConvTestbench::new(cfg, seed).map_err(|e| Error::Build(e.to_string()))?;
 
-    let t0 = Instant::now();
-    let interp = tb.run().map_err(Error::Trap)?;
-    let interp_secs = t0.elapsed().as_secs_f64();
-    if !interp.matches() {
-        return Err(Error::Mismatch { config: cfg.name() });
-    }
-
-    // Run the fast path by hand (rather than through `run_fastpath`) so
-    // the block-cache statistics survive into the record.
     let mut soc = tb.stage();
-    soc.enable_fastpath();
+    let t0 = Instant::now();
+    while !soc.core.reference_step(&mut soc.mem).map_err(Error::Trap)? {}
+    let reference_secs = t0.elapsed().as_secs_f64();
+    let reference = soc.core.perf;
+
+    let mut soc = tb.stage();
     let t0 = Instant::now();
     let report = soc.run(tb.cycle_budget()).map_err(Error::Trap)?;
-    let fast_secs = t0.elapsed().as_secs_f64();
-    let stats = soc
-        .core
-        .fastpath_stats()
-        .expect("fast path was enabled for the timed run");
-    let fast = tb.collect(&soc, report);
-    if !fast.matches() {
+    let replay_secs = t0.elapsed().as_secs_f64();
+    let stats = soc.core.fastpath_stats().unwrap_or_default();
+    let replay = tb.collect(&soc, report);
+    if !replay.matches() {
         return Err(Error::Mismatch { config: cfg.name() });
     }
     assert_eq!(
-        interp.report, fast.report,
-        "fast path must be bit-exact with the interpreter"
+        reference, replay.report.perf,
+        "block replay must be bit-exact with reference steps"
     );
 
     Ok(HostThroughputRecord {
         kernel: cfg.name(),
-        cycles: interp.report.perf.cycles,
-        instret: interp.report.perf.instret,
-        interp_secs,
-        fast_secs,
+        cycles: replay.report.perf.cycles,
+        instret: replay.report.perf.instret,
+        reference_secs,
+        replay_secs,
         hit_rate: stats.hit_rate(),
         misses: stats.misses,
         translations: stats.translations,
@@ -526,7 +520,7 @@ mod tests {
     fn host_throughput_record_is_verified_and_balanced() {
         let r = host_throughput_for(small_cfg(), 42).unwrap();
         assert!(r.cycles > 0 && r.instret > 0);
-        assert!(r.interp_secs > 0.0 && r.fast_secs > 0.0);
+        assert!(r.reference_secs > 0.0 && r.replay_secs > 0.0);
         // The small layer still caches well; the hot loops dominate.
         assert!(r.hit_rate > 0.9, "hit rate {:.3}", r.hit_rate);
         assert_eq!(r.interp_fallbacks, 0);
@@ -535,7 +529,7 @@ mod tests {
         for key in [
             "\"speedup\"",
             "\"block_cache_hit_rate\"",
-            "\"fast_cycles_per_sec\"",
+            "\"replay_cycles_per_sec\"",
             "\"interp_fallbacks\"",
         ] {
             assert!(j.contains(key), "missing {key} in:\n{j}");

@@ -15,6 +15,7 @@
 //! transient fault model, restoring it and re-running disarmed is a
 //! complete recovery — checkpoint/rollback at cluster scale.
 
+use crate::exec::{flip_mem_bit, FlipMem};
 use crate::plan::{FaultEvent, FaultPlan, FaultTarget, MemRegion, TargetSpace};
 use crate::FaultClass;
 use pulp_cluster::{ClusterConvTestbench, ClusterError, ClusterSim, ClusterSnapshot};
@@ -109,6 +110,17 @@ pub fn cluster_target_space(tb: &ClusterConvTestbench, clean_clock: u64) -> Targ
     }
 }
 
+impl FlipMem for ClusterSim {
+    fn byte(&self, addr: u32) -> u8 {
+        self.mem.read_bytes(addr, 1)[0]
+    }
+
+    fn set_byte(&mut self, addr: u32, value: u8) {
+        self.mem.write_bytes(addr, &[value]);
+        self.invalidate_code(addr, 1);
+    }
+}
+
 /// Applies one flip to the cluster, recording old and new values.
 fn apply(sim: &mut ClusterSim, event: &FaultEvent) -> ClusterInjection {
     let (hart, before, after) = match event.target {
@@ -126,10 +138,8 @@ fn apply(sim: &mut ClusterSim, event: &FaultEvent) -> ClusterInjection {
             (Some(h), before, after)
         }
         FaultTarget::Memory { addr, bit } => {
-            let before = sim.mem.read_bytes(addr, 1)[0];
-            let after = before ^ (1 << bit);
-            sim.mem.write_bytes(addr, &[after]);
-            (None, u32::from(before), u32::from(after))
+            let (before, after) = flip_mem_bit(sim, addr, bit);
+            (None, before, after)
         }
     };
     ClusterInjection {

@@ -17,8 +17,8 @@
 
 use crate::plan::{FaultEvent, FaultPlan, FaultTarget};
 use pulp_isa::Reg;
-use pulp_soc::{Soc, SocSnapshot};
-use riscv_core::{ExitStatus, PerfCounters, Trap};
+use pulp_soc::{Soc, SocMem, SocSnapshot};
+use riscv_core::{Core, ExitStatus, PerfCounters, Trap};
 use std::fmt;
 
 /// Knobs of one armed run.
@@ -98,6 +98,37 @@ impl ArmedRun {
     }
 }
 
+/// A machine whose memory a fault flip strikes behind the bus.
+pub(crate) trait FlipMem {
+    /// The byte at `addr`.
+    fn byte(&self, addr: u32) -> u8;
+    /// Overwrites the byte at `addr` and drops the decoded blocks of
+    /// every core whose fetched code covers it.
+    fn set_byte(&mut self, addr: u32, value: u8);
+}
+
+impl FlipMem for (&mut Core, &mut SocMem) {
+    fn byte(&self, addr: u32) -> u8 {
+        self.1.read_bytes(addr, 1)[0]
+    }
+
+    fn set_byte(&mut self, addr: u32, value: u8) {
+        self.1.write_bytes(addr, &[value]);
+        self.0.invalidate_code(addr, 1);
+    }
+}
+
+/// The one memory-flip path of every fault driver: flips `bit` of the
+/// byte at `addr`, dropping covering decoded blocks so a flip into an
+/// instruction takes effect at the very next fetch. Returns the byte
+/// before and after.
+pub(crate) fn flip_mem_bit(m: &mut impl FlipMem, addr: u32, bit: u32) -> (u32, u32) {
+    let before = m.byte(addr);
+    let after = before ^ (1 << bit);
+    m.set_byte(addr, after);
+    (u32::from(before), u32::from(after))
+}
+
 /// Applies one flip to the SoC, recording old and new values.
 fn apply(soc: &mut Soc, event: &FaultEvent) -> InjectionRecord {
     let (before, after) = match event.target {
@@ -114,10 +145,7 @@ fn apply(soc: &mut Soc, event: &FaultEvent) -> InjectionRecord {
             (before, after)
         }
         FaultTarget::Memory { addr, bit } => {
-            let before = soc.mem.read_bytes(addr, 1)[0];
-            let after = before ^ (1 << bit);
-            soc.mem.write_bytes(addr, &[after]);
-            (u32::from(before), u32::from(after))
+            flip_mem_bit(&mut (&mut soc.core, &mut soc.mem), addr, bit)
         }
     };
     InjectionRecord {
@@ -136,12 +164,6 @@ fn apply(soc: &mut Soc, event: &FaultEvent) -> InjectionRecord {
 /// the cycle counter has reached its scheduled cycle.
 pub fn run_armed(soc: &mut Soc, plan: &FaultPlan, cfg: &ArmConfig) -> ArmedRun {
     let before = soc.core.perf;
-    // An armed driver mutates registers and memory behind the core's
-    // back between steps, so the decoded-block fast path must not be
-    // live: drop it for the whole armed run (fallback matrix in
-    // `riscv_core::fastpath`). Flips to code bytes then take effect at
-    // the very next fetch, exactly as the classifier assumes.
-    soc.core.disable_fastpath();
     if cfg.trace_depth > 0 {
         soc.core.attach_tracer(cfg.trace_depth);
     }
@@ -266,18 +288,44 @@ mod tests {
     }
 
     #[test]
-    fn arming_disables_a_live_fastpath_and_stays_exact() {
-        // A caller may hand over an SoC with the decoded-block fast
-        // path already enabled; arming must drop it (flips bypass the
-        // bus, so cached blocks would go stale) and still reproduce the
-        // interpreter's counters exactly.
-        let tb = small_bench();
-        let clean = tb.run().expect("clean run");
-        let mut soc = tb.stage();
-        soc.enable_fastpath();
-        let armed = run_armed(&mut soc, &FaultPlan::none(), &ArmConfig::default());
-        assert!(!soc.core.fastpath_enabled());
-        assert_eq!(armed.perf, clean.report.perf);
+    fn armed_flip_into_fetched_code_takes_effect_at_the_next_fetch() {
+        // `patchme` is decoded (and cached) on the first pass; the flip
+        // lands between passes and turns `addi a0, a0, 1` into
+        // `addi a0, a0, 3` (immediate bit 21). The second pass must
+        // execute the flipped word, not the cached block.
+        let mut a = pulp_asm::Asm::new(pulp_soc::CODE_BASE);
+        a.li(Reg::A0, 0);
+        a.li(Reg::T1, 2);
+        a.j("patchme"); // so a block starts at `patchme`
+        a.label("patchme");
+        a.addi(Reg::A0, Reg::A0, 1);
+        a.addi(Reg::T1, Reg::T1, -1);
+        a.bne(Reg::T1, Reg::Zero, "patchme");
+        a.ecall();
+        let prog = a.assemble().unwrap();
+        let run = |plan: &FaultPlan| {
+            let mut soc = Soc::new(riscv_core::IsaConfig::xpulpnn());
+            soc.load(&prog);
+            run_armed(&mut soc, plan, &ArmConfig::default())
+        };
+        let clean = run(&FaultPlan::none());
+        assert_eq!(clean.exit.unwrap().exit_code, 2);
+        // Fires at the first boundary after the first pass's branch.
+        let at = clean.perf.cycles - 4;
+        let plan = FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent {
+                cycle: at,
+                domain: FaultDomain::DataMemory,
+                target: FaultTarget::Memory {
+                    addr: pulp_soc::CODE_BASE + 14, // `patchme` bits 16..24
+                    bit: 5,
+                },
+            }],
+        };
+        let armed = run(&plan);
+        assert_eq!(armed.injections[0].pc, pulp_soc::CODE_BASE + 12);
+        assert_eq!(armed.exit.unwrap().exit_code, 1 + 3);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! last-retired window instead.
 
 use crate::campaign::{self, trial_seed, Trial, TENSOR_SEED};
+use crate::exec::flip_mem_bit;
 use crate::plan::FaultTarget;
 use conformance::lockstep::{lockstep_with, LockstepEnd};
 use pulp_kernels::ConvTestbench;
@@ -130,8 +131,7 @@ pub fn replay(master: u64, variant_index: usize, trial: u64) -> Result<ReplayRep
                         }
                     }
                     FaultTarget::Memory { addr, bit } => {
-                        let b = abus.read_bytes(addr, 1)[0];
-                        abus.write_bytes(addr, &[b ^ (1 << bit)]);
+                        flip_mem_bit(&mut (&mut *a, &mut *abus), addr, bit);
                     }
                 }
                 next += 1;

@@ -192,14 +192,25 @@ impl Bus for HartPort {
     }
 }
 
-/// Runs one hart until its next barrier arrival or halt, whichever
-/// comes first. `budget` caps the hart's *cumulative* cycle counter —
-/// the same absolute-watchdog contract as [`riscv_core::Core::run`].
+/// How a hart retires one instruction: [`Core::step`] (block replay,
+/// what every cluster run uses) or [`Core::reference_step`] (the
+/// uncached oracle equivalence tests compare against).
+pub type HartStep = fn(&mut Core, &mut HartPort) -> Result<bool, Trap>;
+
+/// Runs one hart, one `step` at a time, until its next barrier arrival
+/// or halt, whichever comes first. `budget` caps the hart's
+/// *cumulative* cycle counter — the same absolute-watchdog contract as
+/// [`riscv_core::Core::run`].
 ///
 /// # Errors
 ///
 /// Propagates core traps; budget exhaustion is [`Trap::Watchdog`].
-pub fn run_region(core: &mut Core, port: &mut HartPort, budget: u64) -> Result<RegionEnd, Trap> {
+pub fn run_region(
+    core: &mut Core,
+    port: &mut HartPort,
+    budget: u64,
+    step: HartStep,
+) -> Result<RegionEnd, Trap> {
     loop {
         if core.perf.cycles >= budget {
             return Err(Trap::Watchdog {
@@ -209,7 +220,7 @@ pub fn run_region(core: &mut Core, port: &mut HartPort, budget: u64) -> Result<R
         }
         port.now = core.perf.cycles;
         port.traced_this_step = false;
-        if core.step(port)? {
+        if step(core, port)? {
             return Ok(RegionEnd::Halted(core.reg(pulp_isa::Reg::A0)));
         }
         if port.barrier {
@@ -268,12 +279,12 @@ mod tests {
         core.pc = prog.base;
         let mut port = HartPort::new(&mem, 0);
         assert_eq!(
-            run_region(&mut core, &mut port, 1000).unwrap(),
+            run_region(&mut core, &mut port, 1000, Core::step).unwrap(),
             RegionEnd::Barrier
         );
         let mut port = HartPort::new(&mem, core.perf.cycles);
         assert_eq!(
-            run_region(&mut core, &mut port, 1000).unwrap(),
+            run_region(&mut core, &mut port, 1000, Core::step).unwrap(),
             RegionEnd::Halted(9)
         );
         // The event-unit store is neither logged nor traced.
@@ -292,7 +303,7 @@ mod tests {
         core.pc = prog.base;
         let mut port = HartPort::new(&mem, 0);
         assert!(matches!(
-            run_region(&mut core, &mut port, 50),
+            run_region(&mut core, &mut port, 50, Core::step),
             Err(Trap::Watchdog { budget: 50, .. })
         ));
     }

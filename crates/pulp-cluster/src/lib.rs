@@ -34,7 +34,7 @@ pub mod sim;
 pub mod testbench;
 
 pub use arbiter::{arbitrate, Arbitration};
-pub use hart::{BankEvent, HartPort, RegionEnd, WriteRec};
+pub use hart::{BankEvent, HartPort, HartStep, RegionEnd, WriteRec};
 pub use raw::{run_spmd, RawRunReport};
 pub use sim::{ClusterSim, ClusterSnapshot, ClusterStats, ConflictKind, ConflictRec};
 pub use testbench::{ClusterConvTestbench, ClusterRunResult};

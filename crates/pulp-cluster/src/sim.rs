@@ -27,7 +27,7 @@
 //! Every step is a pure function of architectural state, so cycle
 //! counts and memory images are bit-identical for any `host_threads`.
 
-use crate::hart::{apply_write, run_region, HartPort, RegionEnd};
+use crate::hart::{apply_write, run_region, HartPort, HartStep, RegionEnd};
 use crate::ClusterError;
 use pulp_soc::cluster::{ClusterMem, DmaModel, DmaTransfer};
 use pulp_soc::STACK_TOP;
@@ -303,15 +303,14 @@ impl ClusterSim {
         self.replay_reads = on;
     }
 
-    /// Enables the decoded-block fast path on every hart (see
-    /// [`riscv_core::fastpath`]). Purely a host-side knob, like
-    /// [`ClusterSim::set_host_threads`]: simulated results are
-    /// identical with it on or off. Enable *after* the program is
-    /// loaded; the per-core caches invalidate themselves on
-    /// [`ClusterSim::restore`] and on self-modifying stores.
-    pub fn enable_fastpath(&mut self) {
+    /// Drops the decoded blocks of every hart whose fetched code
+    /// overlaps `len` bytes at `addr`. Writes to the shared image bypass
+    /// the harts' own store filters: the region merge and DMA call this
+    /// themselves; host writes to [`ClusterSim::mem`] (staging, fault
+    /// flips) that may touch code must call it too.
+    pub fn invalidate_code(&mut self, addr: u32, len: u32) {
         for core in &mut self.harts {
-            core.enable_fastpath();
+            core.invalidate_code(addr, len);
         }
     }
 
@@ -352,6 +351,7 @@ impl ClusterSim {
     /// bucket.
     pub fn dma_blocking(&mut self, t: &DmaTransfer) -> u64 {
         t.apply(&mut self.mem);
+        self.invalidate_code(t.dst, t.bytes);
         let cycles = t.cycles(&self.dma);
         self.clock += cycles;
         cycles
@@ -368,6 +368,21 @@ impl ClusterSim {
         &mut self,
         budget: u64,
         overlap: Option<&DmaTransfer>,
+    ) -> Result<bool, ClusterError> {
+        self.run_region_with(budget, overlap, Core::step)
+    }
+
+    /// [`ClusterSim::run_region`] with every hart advanced by `step`;
+    /// [`Core::reference_step`] gives the uncached oracle run.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterSim::run_region`].
+    pub fn run_region_with(
+        &mut self,
+        budget: u64,
+        overlap: Option<&DmaTransfer>,
+        step: HartStep,
     ) -> Result<bool, ClusterError> {
         let n = self.harts.len();
         let mem = &self.mem;
@@ -387,7 +402,7 @@ impl ClusterSim {
         // order, so the merge below never observes scheduling.
         let run_task = |(h, core, mut port): (usize, &mut Core, HartPort)| {
             let before = core.perf.cycles;
-            let end = run_region(core, &mut port, budget);
+            let end = run_region(core, &mut port, budget, step);
             let exec = core.perf.cycles - before;
             (h, end, port, exec)
         };
@@ -524,6 +539,13 @@ impl ClusterSim {
                 self.exit_codes[h] = code;
             }
         }
+        // Another hart's merged stores may land in code a hart has
+        // already decoded; only the writer's own store filter saw them.
+        for (_, writes, _) in &foot {
+            for &(lo, hi) in writes {
+                self.invalidate_code(lo, hi - lo);
+            }
+        }
         self.stats.conflicts += arb.conflicts;
         self.stats.conflict_stalls += arb.stall_cycles;
         self.stats.regions += 1;
@@ -534,6 +556,7 @@ impl ClusterSim {
         self.stats.dma_exposed += dma_cycles.saturating_sub(region_time);
         if let Some(t) = overlap {
             t.apply(&mut self.mem);
+            self.invalidate_code(t.dst, t.bytes);
         }
         Ok(self.all_halted())
     }
@@ -843,7 +866,6 @@ mod tests {
         let mut mem = ClusterMem::new();
         mem.load(&prog_a);
         let mut sim = ClusterSim::new(IsaConfig::xpulpnn(), 4, mem);
-        sim.enable_fastpath();
         sim.start(prog_a.base);
         // Warm every hart's block cache on program A.
         while !sim.run_region(100_000, None).unwrap() {}
@@ -857,6 +879,55 @@ mod tests {
         sim.restore(&template_a);
         while !sim.run_region(100_000, None).unwrap() {}
         assert_eq!(sim.exit_codes(), &[11; 4]);
+    }
+
+    /// Hart 1 patches an instruction both harts have already decoded;
+    /// after the barrier merges the store, hart 0 must execute the new
+    /// instruction, not its stale cached block — exactly like a run
+    /// driven by reference steps alone.
+    #[test]
+    fn cross_hart_code_patch_invalidates_after_the_barrier() {
+        let mut a = Asm::new(pulp_soc::CODE_BASE);
+        a.i(pulp_isa::instr::Instr::Csr {
+            op: 1,
+            rd: Reg::T0,
+            rs1: Reg::Zero,
+            csr: pulp_isa::csr::MHARTID,
+        });
+        a.li(Reg::A0, 0);
+        a.j("patchme"); // so a block starts at `patchme`
+        a.label("patchme");
+        a.addi(Reg::A0, Reg::A0, 1);
+        a.bne(Reg::T1, Reg::Zero, "done"); // second pass: finish
+        a.li(Reg::T1, 1);
+        a.beq(Reg::T0, Reg::Zero, "barrier"); // only hart 1 patches
+        a.li(Reg::T3, 0x0405_0513); // addi a0, a0, 64
+        a.la(Reg::T4, "patchme");
+        a.sw(Reg::T3, 0, Reg::T4);
+        a.label("barrier");
+        a.li(Reg::T5, EU_BARRIER as i32);
+        a.sw(Reg::Zero, 0, Reg::T5);
+        a.j("patchme");
+        a.label("done");
+        a.ecall();
+        let prog = a.assemble().unwrap();
+        let run = |step: HartStep| {
+            let mut mem = ClusterMem::new();
+            mem.load(&prog);
+            let mut sim = ClusterSim::new(IsaConfig::xpulpnn(), 2, mem);
+            sim.start(prog.base);
+            while !sim.run_region_with(10_000, None, step).unwrap() {}
+            sim
+        };
+        let replay = run(Core::step);
+        let reference = run(Core::reference_step);
+        assert_eq!(reference.exit_codes(), &[65, 65]);
+        assert_eq!(replay.exit_codes(), reference.exit_codes());
+        assert_eq!(replay.clock(), reference.clock());
+        assert_eq!(replay.mem, reference.mem);
+        for h in 0..2 {
+            assert_eq!(replay.hart(h).perf, reference.hart(h).perf);
+        }
     }
 
     #[test]

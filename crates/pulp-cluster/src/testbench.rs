@@ -162,21 +162,6 @@ impl ClusterConvTestbench {
         Ok(self.collect(&sim))
     }
 
-    /// [`ClusterConvTestbench::run`] with every hart's decoded-block
-    /// fast path enabled. Bit-exact with the interpreted run — only
-    /// host wall-clock differs.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Trap`] if any hart traps.
-    pub fn run_fastpath(&self, host_threads: usize) -> Result<ClusterRunResult, ClusterError> {
-        let mut sim = self.stage();
-        sim.set_host_threads(host_threads);
-        sim.enable_fastpath();
-        self.drive(&mut sim)?;
-        Ok(self.collect(&sim))
-    }
-
     /// Reads back and verifies the output of a driven cluster. Public
     /// so external drivers (fault injection) can run a staged cluster
     /// themselves and still get a verified result.

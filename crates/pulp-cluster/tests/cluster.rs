@@ -4,10 +4,35 @@
 //! relationship between the single-hart cluster and the single-core
 //! Fig. 8 measurement.
 
-use pulp_cluster::ClusterConvTestbench;
+use pulp_cluster::{ClusterConvTestbench, ClusterRunResult};
 use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
 use qnn::conv::ConvShape;
 use qnn::BitWidth;
+use riscv_core::Core;
+
+/// The testbench's schedule (`ClusterConvTestbench::drive`) with every
+/// hart advanced by `Core::reference_step` alone: the uncached oracle
+/// block replay is held to.
+fn reference_run(tb: &ClusterConvTestbench, host_threads: usize) -> ClusterRunResult {
+    let l2 = &tb.bench.layout;
+    let mut sim = tb.stage();
+    sim.set_host_threads(host_threads);
+    for t in &tb.plan.prologue_transfers(l2) {
+        sim.stats.dma_prologue += sim.dma_blocking(t);
+    }
+    let mut region = 0;
+    loop {
+        let band = tb.plan.band_transfer(l2, region);
+        let step = Core::reference_step;
+        match sim.run_region_with(tb.bench.cycle_budget(), band.as_ref(), step) {
+            Ok(true) => break,
+            Ok(false) => region += 1,
+            Err(e) => panic!("reference run: {e}"),
+        }
+    }
+    sim.stats.dma_writeback += sim.dma_blocking(&tb.plan.writeback(l2));
+    tb.collect(&sim)
+}
 
 /// The same small layer the fault campaigns sweep: padding, several
 /// channel blocks, multiple pixel pairs, word-aligned at every width.
@@ -77,52 +102,56 @@ fn equivalence_matrix_all_variants_all_cluster_sizes() {
     }
 }
 
-/// The decoded-block fast path is a pure host-side accelerator: for
-/// every kernel variant and every cluster size the fast-path run
-/// reports bit-identical cycles, stats, per-hart counters and output.
+/// Block replay is a pure host-side accelerator: for every kernel
+/// variant and every cluster size the replayed run reports cycles,
+/// stats, per-hart counters and output bit-identical to a run driven
+/// by reference steps alone.
 #[test]
 fn equivalence_matrix_is_bit_exact_under_fastpath() {
     for cfg in variants() {
         for n in [1, 2, 4, 8] {
             let tb = ClusterConvTestbench::new(cfg, n, 42)
                 .unwrap_or_else(|e| panic!("{} n={n}: {e}", cfg.name()));
-            let interp = tb
+            let reference = reference_run(&tb, 2);
+            let replay = tb
                 .run(2)
                 .unwrap_or_else(|e| panic!("{} n={n}: {e}", cfg.name()));
-            let fast = tb
-                .run_fastpath(2)
-                .unwrap_or_else(|e| panic!("{} n={n} fastpath: {e}", cfg.name()));
-            assert!(fast.matches(), "{} n={n}", cfg.name());
-            assert_eq!(interp.cycles, fast.cycles, "{} n={n}", cfg.name());
-            assert_eq!(interp.stats, fast.stats, "{} n={n}", cfg.name());
-            assert_eq!(interp.output, fast.output, "{} n={n}", cfg.name());
-            assert_eq!(interp.exit_codes, fast.exit_codes, "{} n={n}", cfg.name());
-            for h in 0..n {
-                assert_eq!(interp.per_hart[h], fast.per_hart[h], "{} n={n}", cfg.name());
-            }
+            assert!(reference.matches(), "{} n={n}", cfg.name());
+            assert_eq!(reference.cycles, replay.cycles, "{} n={n}", cfg.name());
+            assert_eq!(reference.stats, replay.stats, "{} n={n}", cfg.name());
+            assert_eq!(reference.output, replay.output, "{} n={n}", cfg.name());
+            assert_eq!(
+                reference.exit_codes,
+                replay.exit_codes,
+                "{} n={n}",
+                cfg.name()
+            );
+            assert_eq!(reference.per_hart, replay.per_hart, "{} n={n}", cfg.name());
         }
     }
 }
 
-/// The cluster pins under the fast path: the 1-hart paper layer at
-/// 1,444,386 cycles and the 8-hart paper layer at 190,138 cycles
-/// (EXPERIMENTS.md cluster-scaling table), bit-exact.
+/// The cluster pins: the 1-hart paper layer at 1,444,386 cycles and
+/// the 8-hart paper layer at 190,138 cycles (EXPERIMENTS.md
+/// cluster-scaling table), bit-exact under block replay and, for the
+/// 8-hart layer, under reference steps alone.
 #[test]
 fn cluster_pins_hold_under_fastpath() {
     let cfg = ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true);
     let one = ClusterConvTestbench::new(cfg, 1, 42)
         .unwrap()
-        .run_fastpath(1)
+        .run(1)
         .unwrap();
     assert!(one.matches());
     assert_eq!(one.cycles, 1_444_386);
     assert_eq!(one.stats.conflict_bytes(), 0);
-    let eight = ClusterConvTestbench::new(cfg, 8, 42)
-        .unwrap()
-        .run_fastpath(8)
-        .unwrap();
+    let tb = ClusterConvTestbench::new(cfg, 8, 42).unwrap();
+    let eight = tb.run(8).unwrap();
     assert!(eight.matches());
     assert_eq!(eight.cycles, 190_138);
+    let reference = reference_run(&tb, 8);
+    assert_eq!(reference.cycles, 190_138);
+    assert_eq!(reference.per_hart, eight.per_hart);
     // Conflict detection is always on: the pins hold with it enabled
     // and the paper layer is race-clean on both cluster sizes.
     assert_eq!(eight.stats.conflict_bytes(), 0);

@@ -301,32 +301,6 @@ impl ConvTestbench {
         Ok(self.collect(&soc, report))
     }
 
-    /// Runs like [`ConvTestbench::run`] but with the core's
-    /// decoded-block fast path enabled (see [`riscv_core::fastpath`]).
-    /// Simulated results — output tensor, exit status, every cycle and
-    /// event counter — are bit-exact with [`ConvTestbench::run`]; only
-    /// host wall-clock differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator traps, like [`ConvTestbench::run`].
-    pub fn run_fastpath(&self) -> Result<ConvRunResult, Trap> {
-        let mut soc = self.stage();
-        soc.enable_fastpath();
-        let report = match soc.run(self.cycle_budget()) {
-            Ok(r) => r,
-            Err(trap) => {
-                eprintln!(
-                    "kernel {} trapped: {trap}\n{}",
-                    self.cfg.name(),
-                    self.trace_tail()
-                );
-                return Err(trap);
-            }
-        };
-        Ok(self.collect(&soc, report))
-    }
-
     /// Runs like [`ConvTestbench::run`] but with an execution tracer
     /// attached for the whole run, returning the tracer alongside the
     /// verified result — the input to hotspot profiling.
@@ -444,6 +418,21 @@ mod tests {
         }
     }
 
+    /// The kernel driven by `Core::reference_step` alone: the uncached
+    /// oracle block replay is held to.
+    fn reference_run(tb: &ConvTestbench) -> ConvRunResult {
+        let mut soc = tb.stage();
+        let before = soc.core.perf;
+        while !soc.core.reference_step(&mut soc.mem).expect("trap") {}
+        let exit = riscv_core::ExitStatus {
+            halted: true,
+            exit_code: soc.core.reg(pulp_isa::Reg::A0),
+            pc: soc.core.pc,
+        };
+        let perf = soc.core.perf.delta_since(&before);
+        tb.collect(&soc, RunReport { exit, perf })
+    }
+
     fn check(cfg: ConvKernelConfig, seed: u64) -> ConvRunResult {
         let tb = ConvTestbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         let r = tb.run().unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
@@ -491,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_run_is_bit_exact_with_interpreter() {
+    fn block_replay_is_bit_exact_with_reference_step() {
         for (bits, quant) in [
             (BitWidth::W8, QuantMode::Shift8 { shift: 8 }),
             (BitWidth::W4, QuantMode::HardwareQnt),
@@ -506,27 +495,32 @@ mod tests {
                 quant,
             };
             let tb = ConvTestbench::new(cfg, 21).unwrap();
-            let interp = tb.run().unwrap();
-            let fast = tb.run_fastpath().unwrap();
-            assert!(fast.matches(), "{}", cfg.name());
-            assert_eq!(interp.report, fast.report, "{}", cfg.name());
-            assert_eq!(interp.output, fast.output, "{}", cfg.name());
+            let reference = reference_run(&tb);
+            let burst = tb.run().unwrap();
+            let (per_op, _) = tb.run_profiled(16).unwrap();
+            assert!(burst.matches(), "{}", cfg.name());
+            for r in [&burst, &per_op] {
+                assert_eq!(reference.report, r.report, "{}", cfg.name());
+                assert_eq!(reference.output, r.output, "{}", cfg.name());
+            }
         }
     }
 
     /// The Fig. 8 pinned cycle count (4-bit hardware-quantized layer,
-    /// standard seed) must hold bit-exactly under the decoded-block
-    /// fast path; `faultsim`'s `disarmed_runs_cost_nothing` pins the
-    /// same constants for the interpreter.
+    /// standard seed) must hold bit-exactly under burst block replay
+    /// and under reference steps alone; `faultsim`'s
+    /// `disarmed_runs_cost_nothing` pins the same constants for per-op
+    /// replay.
     #[test]
-    fn paper_layer_fastpath_pins_fig8_cycle_count() {
+    fn block_replay_pins_fig8_cycle_count() {
         let cfg = ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true);
         let tb = ConvTestbench::new(cfg, 42).unwrap();
-        let r = tb.run_fastpath().unwrap();
+        let r = tb.run().unwrap();
         assert!(r.matches());
         assert_eq!(r.report.perf.cycles, 1_440_804);
         assert_eq!(r.report.perf.instret, 1_337_750);
         assert_eq!(r.report.perf.ledger.total(), r.report.perf.cycles);
+        assert_eq!(reference_run(&tb).report, r.report);
     }
 
     #[test]
@@ -549,12 +543,8 @@ mod tests {
         assert_eq!(r1.report.perf, r2.report.perf);
         assert_eq!(r1.report.perf.ledger, r2.report.perf.ledger);
         assert_eq!(r1.report.perf.ledger.total(), r1.report.perf.cycles);
-        // Same invariant under the fast path.
-        let f1 = tb.run_fastpath().unwrap();
-        let _ = tb.trace_tail();
-        let f2 = tb.run_fastpath().unwrap();
-        assert_eq!(f1.report.perf, f2.report.perf);
-        assert_eq!(f1.report.perf, r1.report.perf);
+        // And the counters are the reference step's.
+        assert_eq!(reference_run(&tb).report.perf, r1.report.perf);
     }
 
     #[test]
@@ -688,10 +678,10 @@ mod tests {
         assert!(ledger.get(CycleClass::VecCfg) > 0, "vsetvli cycles");
         assert!(r.report.perf.vec_macs > 0, "vector MACs counted");
         assert_eq!(ledger.total(), r.report.perf.cycles);
-        // And the fast path reproduces the run bit-exactly.
-        let fast = tb.run_fastpath().unwrap();
-        assert_eq!(fast.report, r.report);
-        assert_eq!(fast.output, r.output);
+        // And reference steps reproduce the run bit-exactly.
+        let reference = reference_run(&tb);
+        assert_eq!(reference.report, r.report);
+        assert_eq!(reference.output, r.output);
     }
 
     #[test]

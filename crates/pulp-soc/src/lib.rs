@@ -269,20 +269,6 @@ impl Soc {
         soc
     }
 
-    /// Enables the core's decoded-block fast path (see
-    /// [`riscv_core::fastpath`]). Call [`Soc::invalidate_fastpath`]
-    /// after any later host-side write that may touch already-fetched
-    /// code; [`Soc::load`] and [`Soc::restore`] handle themselves.
-    pub fn enable_fastpath(&mut self) {
-        self.core.enable_fastpath();
-    }
-
-    /// Drops cached decoded blocks after host-side writes that bypass
-    /// the bus (no-op when the fast path is disabled).
-    pub fn invalidate_fastpath(&mut self) {
-        self.core.invalidate_fastpath();
-    }
-
     /// Loads a program's code and data into L2 and points the core at
     /// its entry, with the stack at the top of L2.
     ///
@@ -484,7 +470,7 @@ mod tests {
         ));
     }
 
-    /// Serving-template audit pin (fast-path staleness): restoring a
+    /// Serving-template audit pin (block-cache staleness): restoring a
     /// snapshot of a *different* program staged at the same base must
     /// never replay decoded blocks of the previous one. `Core::restore`
     /// flushes the block cache unconditionally — this test holds that
@@ -504,7 +490,6 @@ mod tests {
         soc.load(&prog_b);
         let template_b = soc.snapshot();
 
-        soc.enable_fastpath();
         soc.restore(&template_a);
         // Warm the block cache on program A's code.
         assert_eq!(soc.run(1000).unwrap().exit.exit_code, 11);
@@ -536,7 +521,6 @@ mod tests {
 
         let fork = |input: u32| {
             let mut soc = Soc::new(IsaConfig::xpulpnn());
-            soc.enable_fastpath();
             soc.restore(&template);
             soc.mem.write_bytes(data, &input.to_le_bytes());
             soc.run(1000).unwrap()

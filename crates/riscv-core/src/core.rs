@@ -279,10 +279,10 @@ pub struct Core {
     vec: Option<Box<VecUnit>>,
     // Boxed so the untraced hot path carries one pointer, not the ring.
     tracer: Option<Box<ExecTracer>>,
-    // Decoded-block cache; `None` means pure interpretation. Boxed for
+    // Decoded-block cache every `step` and `run` replays from. Boxed for
     // the same reason as the tracer. Not architectural state: it never
     // appears in a `Snapshot` and is flushed on `restore`/`reset`.
-    fastpath: Option<Box<BlockCache>>,
+    blocks: Box<BlockCache>,
 }
 
 impl Core {
@@ -308,7 +308,7 @@ impl Core {
                 None
             },
             tracer: None,
-            fastpath: None,
+            blocks: Box::new(BlockCache::new(isa)),
         }
     }
 
@@ -329,55 +329,34 @@ impl Core {
         self.vec.as_deref()
     }
 
-    /// Enables the decoded-block fast path: basic blocks are decoded
-    /// once, cached by PC, and replayed through the same execution
-    /// routine the interpreter uses, so architectural state and every
-    /// cycle counter stay bit-exact. The cache is invalidated on
-    /// [`Core::restore`], [`Core::reset`] and self-modifying stores;
-    /// execution falls back to pure interpretation whenever a tracer is
-    /// attached (see [`crate::fastpath`] for the fallback matrix).
-    pub fn enable_fastpath(&mut self) {
-        if self.fastpath.is_none() {
-            self.fastpath = Some(Box::new(BlockCache::new(self.isa)));
-        }
-    }
-
-    /// Disables the fast path and drops the block cache. Used by
-    /// drivers that need guaranteed step-by-step interpretation, e.g.
-    /// an armed fault-injection loop that mutates state behind the
-    /// core's back.
-    pub fn disable_fastpath(&mut self) {
-        self.fastpath = None;
-    }
-
-    /// True when the decoded-block fast path is enabled.
-    pub fn fastpath_enabled(&self) -> bool {
-        self.fastpath.is_some()
-    }
-
-    /// Drops every cached decoded block (the fast path stays enabled).
-    /// Call after host-side writes that bypass the bus and may touch
-    /// already-fetched code; stores executed *by the core* are detected
-    /// and invalidate automatically.
+    /// Drops every cached decoded block. Call after host-side writes
+    /// that bypass the bus and may touch already-fetched code; stores
+    /// executed *by the core* are detected and invalidate automatically.
     pub fn invalidate_fastpath(&mut self) {
-        if let Some(fp) = &mut self.fastpath {
-            fp.flush();
+        self.blocks.flush();
+    }
+
+    /// Drops every cached decoded block if `len` bytes at `addr`
+    /// overlap code the cache has fetched: the invalidation hook for
+    /// writes that bypass this core's bus (another hart's merged
+    /// stores, DMA, fault flips).
+    pub fn invalidate_code(&mut self, addr: u32, len: u32) {
+        if self.blocks.covers_code(addr, len) {
+            self.blocks.flush();
         }
     }
 
-    /// Block-cache statistics, if the fast path is enabled.
+    /// Block-cache statistics. Always `Some`: every core replays
+    /// decoded blocks.
     pub fn fastpath_stats(&self) -> Option<FastPathStats> {
-        self.fastpath.as_ref().map(|fp| fp.stats)
+        Some(self.blocks.stats)
     }
 
-    /// Arms a deliberate fast-path defect (test-only, mirrors
+    /// Arms a deliberate block-replay defect (test-only, mirrors
     /// `conformance::RefBug`): the lockstep oracle and its shrinker are
-    /// validated by proving they catch and minimize a known bug. No
-    /// effect unless the fast path is enabled.
+    /// validated by proving they catch and minimize a known bug.
     pub fn set_fastpath_bug(&mut self, bug: FastBug) {
-        if let Some(fp) = &mut self.fastpath {
-            fp.bug = bug;
-        }
+        self.blocks.bug = bug;
     }
 
     /// The hart id `csrr mhartid` reports (0 for a standalone core).
@@ -534,25 +513,13 @@ impl Core {
     }
 
     fn check_extension(&self, instr: &Instr) -> Result<(), Trap> {
-        if instr.requires_rvv() && !self.isa.rvv {
-            return Err(Trap::ExtensionFault {
+        match missing_extension(self.isa, instr) {
+            Some(required) => Err(Trap::ExtensionFault {
                 pc: self.pc,
-                required: "xrvv",
-            });
+                required,
+            }),
+            None => Ok(()),
         }
-        if instr.requires_xpulpnn() && !self.isa.xpulpnn {
-            return Err(Trap::ExtensionFault {
-                pc: self.pc,
-                required: "xpulpnn",
-            });
-        }
-        if instr.requires_xpulpv2() && !self.isa.xpulpv2 {
-            return Err(Trap::ExtensionFault {
-                pc: self.pc,
-                required: "xpulpv2",
-            });
-        }
-        Ok(())
     }
 
     /// Applies the zero-overhead hardware-loop rule: when the retiring
@@ -574,23 +541,14 @@ impl Core {
         fallthrough
     }
 
-    /// Fetches and decodes the instruction at the current PC without
-    /// executing it (used by [`Core::step`] and the trace facility).
+    /// Fetches and decodes the instruction at `pc` without executing it
+    /// (the reference step, the block translator and the trace facility
+    /// all fetch through this).
     ///
     /// # Errors
     ///
     /// Bus faults on the fetch and illegal-instruction traps.
-    pub fn fetch_decode<B: Bus>(&self, bus: &mut B) -> Result<(Instr, u32), Trap> {
-        self.fetch_decode_at(bus, self.pc)
-    }
-
-    /// Fetches and decodes the instruction at an arbitrary PC without
-    /// executing it (the block translator walks code regions with this).
-    ///
-    /// # Errors
-    ///
-    /// Bus faults on the fetch and illegal-instruction traps.
-    pub fn fetch_decode_at<B: Bus>(&self, bus: &mut B, pc: u32) -> Result<(Instr, u32), Trap> {
+    pub fn fetch_decode_at<B: Bus>(bus: &mut B, pc: u32) -> Result<(Instr, u32), Trap> {
         let word = bus.fetch(pc).map_err(|error| Trap::Bus { pc, error })?;
         // RV32C: a parcel whose low two bits are not 0b11 is a 16-bit
         // compressed instruction expanding to one base instruction.
@@ -609,66 +567,68 @@ impl Core {
         }
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction, replayed from the decoded-block cache.
     ///
     /// Returns `Ok(true)` if the instruction was `ecall` (the halt
-    /// convention), `Ok(false)` otherwise.
-    ///
-    /// When the fast path is enabled and no tracer is attached, the
-    /// instruction comes from the decoded-block cache instead of a
-    /// fetch+decode; architectural effects and cycle accounting are
-    /// identical either way because both paths share
-    /// [`Core::exec_decoded`].
+    /// convention), `Ok(false)` otherwise. A PC no block can be formed
+    /// at falls back to [`Core::reference_step`], which is how fetch,
+    /// decode and extension traps surface with exactly its PC and state.
     ///
     /// # Errors
     ///
     /// Any [`Trap`]: illegal/unimplemented instructions, bus faults, or
     /// `ebreak`.
     pub fn step<B: Bus>(&mut self, bus: &mut B) -> Result<bool, Trap> {
-        if self.fastpath.is_some() && self.tracer.is_none() {
-            let mut fp = self.fastpath.take().expect("fastpath present");
-            let r = self.fast_step_with(bus, &mut fp);
-            self.fastpath = Some(fp);
-            return r;
+        match self.blocks.next_op(self.pc, self.isa, bus) {
+            Some(op) => Ok(self.exec_op(bus, &op)?.0),
+            None => self.reference_step(bus),
         }
-        self.step_interp(bus)
     }
 
-    /// One pure-interpreter step: fetch, decode, check, execute.
-    fn step_interp<B: Bus>(&mut self, bus: &mut B) -> Result<bool, Trap> {
-        let (instr, ilen) = self.fetch_decode(bus)?;
-        self.check_extension(&instr)?;
-        self.exec_decoded(bus, instr, ilen)
-    }
-
-    /// One fast-path step against a (temporarily detached) block cache.
+    /// Executes one instruction without the block cache: fetch, decode,
+    /// extension check, execute. It is the fallback for PCs no block
+    /// can be formed at, and the oracle cached replay is checked
+    /// against (`conformance --fastpath`, the `bench --host` baseline).
     ///
-    /// Falls back to a single interpreted step when no block can be
-    /// formed at the current PC — that is how fetch/decode/extension
-    /// traps surface with exactly the interpreter's PC and state.
-    fn fast_step_with<B: Bus>(&mut self, bus: &mut B, fp: &mut BlockCache) -> Result<bool, Trap> {
-        if fp.isa() != self.isa {
-            fp.reconfigure(self.isa);
-        }
-        let Some(op) = fp.next_op(self, bus) else {
-            return self.step_interp(bus);
-        };
-        // Self-modifying-code detection and cache flushing live inside
-        // `exec_spec` (the store executes normally — its decoded form
-        // predates the overwrite — then every cached block is dropped
-        // so the next instruction is re-fetched).
-        let (halted, _flushed) = self.exec_spec(bus, fp, &op)?;
-        if fp.bug == FastBug::SquashRedirects {
-            let seq = op.pc.wrapping_add(op.ilen);
-            if !halted && self.pc != seq {
-                self.pc = seq;
-            }
-        }
+    /// # Errors
+    ///
+    /// As [`Core::step`].
+    pub fn reference_step<B: Bus>(&mut self, bus: &mut B) -> Result<bool, Trap> {
+        let (instr, ilen) = Core::fetch_decode_at(bus, self.pc)?;
+        self.check_extension(&instr)?;
+        let (pc, cycles) = (self.pc, self.perf.cycles);
+        let halted = self.exec_decoded(bus, instr, ilen)?;
+        self.record_retire(pc, instr, cycles);
         Ok(halted)
     }
 
+    /// Records the trace entry of an instruction that retired from `pc`
+    /// with the cycle counter at `cycles_before`, when a tracer is
+    /// attached: the one place both per-op paths report retires (a
+    /// trapping instruction never gets here).
+    #[inline(always)]
+    fn record_retire(&mut self, pc: u32, instr: Instr, cycles_before: u64) {
+        if let Some(t) = &mut self.tracer {
+            t.record(pc, instr, self.perf.cycles - cycles_before);
+        }
+    }
+
+    /// Executes one cached op at per-op granularity (traced, and with
+    /// any armed [`FastBug`] applied). Returns `(halted, flushed)` like
+    /// [`Core::exec_spec`].
+    #[inline(always)]
+    fn exec_op<B: Bus>(&mut self, bus: &mut B, op: &Op) -> Result<(bool, bool), Trap> {
+        let cycles = self.perf.cycles;
+        let r = self.exec_spec(bus, op)?;
+        self.record_retire(op.pc, op.instr, cycles);
+        if self.blocks.bug == FastBug::SquashRedirects && !r.0 {
+            self.pc = op.pc.wrapping_add(op.ilen);
+        }
+        Ok(r)
+    }
+
     /// The effective address and size of a store, or `None` for
-    /// non-store instructions (the fast path's self-modifying-code
+    /// non-store instructions (block replay's self-modifying-code
     /// check).
     fn store_target(&self, instr: &Instr) -> Option<(u32, u32)> {
         match *instr {
@@ -695,8 +655,7 @@ impl Core {
 
     /// Shared retire sequence of a specialized op that is *not* an
     /// explicit jump: hardware-loop rule, cycle/ledger charge, PC
-    /// advance — the exact tail of [`Core::exec_decoded`]. (The fast
-    /// path never runs with a tracer attached, so no trace record.)
+    /// advance — the exact tail of [`Core::exec_decoded`].
     #[inline]
     fn retire_fast(&mut self, pc: u32, ilen: u32, class: CycleClass, cycles: u64) {
         let next_pc = self.hwloop_next_pc(pc, ilen, pc.wrapping_add(ilen));
@@ -710,78 +669,41 @@ impl Core {
         self.pc = next_pc;
     }
 
-    /// Executes one pre-specialized op (see `fastpath::USpec`): the
-    /// translate-time-resolved twin of [`Core::exec_decoded`] for the
-    /// profiled hot instruction shapes. Every arm replicates the
-    /// interpreter's side-effect order exactly — `instret` before the
-    /// body, misalign charge before the load/store counter bump before
-    /// the bus access (so a trapping access leaves identical partial
-    /// state), hardware-loop check only on non-jump retires.
-    ///
-    /// Store arms additionally perform the self-modifying-code check
-    /// against `fp` and flush the cache after a store into fetched
-    /// code. Returns `(halted, flushed)`; a flush means any block the
-    /// caller is replaying is stale and must be re-resolved.
+    /// Executes one cached op at per-op granularity. Loads, branches
+    /// and dot products — the per-op shapes that dominate stepped
+    /// kernels — run translate-time-resolved arms that replicate
+    /// [`Core::exec_decoded`]'s side-effect order exactly (`instret`
+    /// before the body, misalign charge before the load counter bump
+    /// before the bus access, so a trapping access leaves identical
+    /// partial state; hardware-loop check only on non-jump retires).
+    /// Everything else runs `exec_decoded` itself, after the
+    /// self-modifying-code check: a store into fetched code flushes the
+    /// block cache once it retires. Returns `(halted, flushed)`; a
+    /// flush means any block the caller is replaying is stale and must
+    /// be re-resolved.
     ///
     /// # Errors
     ///
-    /// Bus faults, with the interpreter's exact trap PC and state.
+    /// Bus faults, with the reference step's exact trap PC and state.
     #[inline(always)]
-    fn exec_spec<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        fp: &mut BlockCache,
-        op: &Op,
-    ) -> Result<(bool, bool), Trap> {
+    fn exec_spec<B: Bus>(&mut self, bus: &mut B, op: &Op) -> Result<(bool, bool), Trap> {
         let pc = self.pc;
         let ilen = op.ilen;
         match op.spec {
-            USpec::Generic => {
-                let smc = match self.store_target(&op.instr) {
-                    Some((addr, size)) => fp.covers_code(addr, size),
-                    None => false,
+            USpec::LoadW { rd, rs1, offset } | USpec::LoadWPostInc { rd, rs1, offset } => {
+                self.perf.instret += 1;
+                let post_inc = matches!(op.spec, USpec::LoadWPostInc { .. });
+                let base = self.reg(rs1);
+                let addr = if post_inc {
+                    base
+                } else {
+                    base.wrapping_add(offset)
                 };
-                let halted = self.exec_decoded(bus, op.instr, op.ilen)?;
-                if smc {
-                    fp.flush();
+                let v = self.mem_read(bus, addr, 4)?;
+                self.set_reg(rd, v);
+                if post_inc {
+                    self.set_reg(rs1, base.wrapping_add(offset));
                 }
-                return Ok((halted, smc));
-            }
-            USpec::Lui { rd, imm } => {
-                self.perf.instret += 1;
-                self.set_reg(rd, imm);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::Auipc { rd, imm } => {
-                self.perf.instret += 1;
-                self.set_reg(rd, pc.wrapping_add(imm));
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::Alu { op, rd, rs1, rs2 } => {
-                self.perf.instret += 1;
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::AluImm { op, rd, rs1, imm } => {
-                self.perf.instret += 1;
-                let v = op.eval(self.reg(rs1), imm);
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::LoadW { rd, rs1, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let v = self.mem_read(bus, addr, 4)?;
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::LoadWPostInc { rd, rs1, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let v = self.mem_read(bus, addr, 4)?;
-                self.set_reg(rd, v);
-                self.set_reg(rs1, addr.wrapping_add(offset));
                 self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
             }
             USpec::Load {
@@ -789,85 +711,27 @@ impl Core {
                 rd,
                 rs1,
                 offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
             }
-            USpec::LoadPostInc {
+            | USpec::LoadPostInc {
                 kind,
                 rd,
                 rs1,
                 offset,
             } => {
                 self.perf.instret += 1;
-                let addr = self.reg(rs1);
+                let post_inc = matches!(op.spec, USpec::LoadPostInc { .. });
+                let base = self.reg(rs1);
+                let addr = if post_inc {
+                    base
+                } else {
+                    base.wrapping_add(offset)
+                };
                 let v = self.load_value(bus, kind, addr)?;
                 self.set_reg(rd, v);
-                self.set_reg(rs1, addr.wrapping_add(offset));
+                if post_inc {
+                    self.set_reg(rs1, base.wrapping_add(offset));
+                }
                 self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::StoreW { rs1, rs2, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let smc = fp.covers_code(addr, 4);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, 4, v)?;
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::StoreWPostInc { rs1, rs2, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let smc = fp.covers_code(addr, 4);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, 4, v)?;
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::Store {
-                size,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let smc = fp.covers_code(addr, size);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, size, v)?;
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::StorePostInc {
-                size,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let smc = fp.covers_code(addr, size);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, size, v)?;
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
             }
             USpec::Branch {
                 cond,
@@ -896,16 +760,6 @@ impl Core {
                     );
                 }
             }
-            USpec::Jal { rd, offset } => {
-                self.perf.instret += 1;
-                self.set_reg(rd, pc.wrapping_add(ilen));
-                self.perf.jumps += 1;
-                self.perf.cycles += timing::JUMP_CYCLES;
-                self.perf
-                    .ledger
-                    .charge(CycleClass::Jump, timing::JUMP_CYCLES);
-                self.pc = pc.wrapping_add(offset);
-            }
             USpec::Dot {
                 acc,
                 fmt,
@@ -927,13 +781,25 @@ impl Core {
                 self.perf.dotp[fi as usize] += 1;
                 self.retire_fast(pc, ilen, CycleClass::Dotp(fmt), timing::ALU_CYCLES);
             }
+            _ => {
+                let smc = match self.store_target(&op.instr) {
+                    Some((addr, size)) => self.blocks.covers_code(addr, size),
+                    None => false,
+                };
+                let halted = self.exec_decoded(bus, op.instr, op.ilen)?;
+                if smc {
+                    self.blocks.flush();
+                }
+                return Ok((halted, smc));
+            }
         }
         Ok((false, false))
     }
 
     /// Executes one already-decoded instruction at the current PC: the
-    /// single execution routine shared by the interpreter and the fast
-    /// path (which is what makes the two bit-exact by construction).
+    /// single execution routine shared by [`Core::reference_step`] and
+    /// block replay (which is what makes the two bit-exact by
+    /// construction).
     ///
     /// Returns `Ok(true)` on `ecall`, like [`Core::step`].
     ///
@@ -943,7 +809,6 @@ impl Core {
     /// extension-checked the instruction.
     fn exec_decoded<B: Bus>(&mut self, bus: &mut B, instr: Instr, ilen: u32) -> Result<bool, Trap> {
         let pc = self.pc;
-        let cycles_at_entry = self.perf.cycles;
         self.perf.instret += 1;
         let mut cycles = timing::ALU_CYCLES;
         // Where the ledger charges this instruction's `cycles`. Memory
@@ -1037,9 +902,6 @@ impl Core {
                     self.perf.ledger.total(),
                     "cycle ledger out of balance at retire of ecall @ {pc:#010x}"
                 );
-                if let Some(t) = &mut self.tracer {
-                    t.record(pc, instr, self.perf.cycles - cycles_at_entry);
-                }
                 self.pc = next_pc;
                 return Ok(true);
             }
@@ -1432,9 +1294,6 @@ impl Core {
             self.perf.ledger.total(),
             "cycle ledger out of balance at retire of {instr} @ {pc:#010x}"
         );
-        if let Some(t) = &mut self.tracer {
-            t.record(pc, instr, self.perf.cycles - cycles_at_entry);
-        }
         self.pc = next_pc;
         Ok(false)
     }
@@ -1455,61 +1314,16 @@ impl Core {
     ) -> Result<ExitStatus, Trap> {
         let limit = self.perf.cycles.saturating_add(max_cycles);
         while self.perf.cycles < limit {
-            let (instr, _) = self.fetch_decode(bus)?;
+            let (instr, _) = Core::fetch_decode_at(bus, self.pc)?;
             trace(self.pc, &instr);
             if self.step(bus)? {
-                return Ok(ExitStatus {
-                    halted: true,
-                    exit_code: self.reg(Reg::A0),
-                    pc: self.pc,
-                });
+                return Ok(self.halt_status());
             }
         }
         Err(Trap::Watchdog {
             pc: self.pc,
             budget: max_cycles,
         })
-    }
-
-    /// Runs until `ecall`, a trap, or the cycle budget is exhausted
-    /// (reported as [`Trap::Watchdog`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`Trap`] raised by [`Core::step`];
-    /// [`Trap::Watchdog`] if the cycle budget runs out first.
-    pub fn run<B: Bus>(&mut self, bus: &mut B, max_cycles: u64) -> Result<ExitStatus, Trap> {
-        if self.fastpath.is_some() && self.tracer.is_none() {
-            return self.run_fast(bus, max_cycles);
-        }
-        let limit = self.perf.cycles.saturating_add(max_cycles);
-        while self.perf.cycles < limit {
-            if self.step(bus)? {
-                return Ok(ExitStatus {
-                    halted: true,
-                    exit_code: self.reg(Reg::A0),
-                    pc: self.pc,
-                });
-            }
-        }
-        Err(Trap::Watchdog {
-            pc: self.pc,
-            budget: max_cycles,
-        })
-    }
-
-    /// [`Core::run`] through the decoded-block cache. Identical
-    /// semantics — the per-op budget check and the shared execution
-    /// routines keep halt points, traps and counters bit-exact — but
-    /// the cache is detached once for the whole run and each resolved
-    /// block is replayed in a tight loop that touches the cache again
-    /// only at control-flow discontinuities.
-    fn run_fast<B: Bus>(&mut self, bus: &mut B, max_cycles: u64) -> Result<ExitStatus, Trap> {
-        let mut fp = self.fastpath.take().expect("fastpath enabled");
-        let limit = self.perf.cycles.saturating_add(max_cycles);
-        let result = self.run_fast_blocks(bus, &mut fp, max_cycles, limit);
-        self.fastpath = Some(fp);
-        result
     }
 
     /// Folds a finished burst's register-local counters into the
@@ -1591,30 +1405,28 @@ impl Core {
     /// - counters are flushed (and `self.pc` materialized) on every
     ///   exit, so architectural state is indistinguishable from per-op
     ///   retires at every point the caller can observe;
-    /// - a trapping access replicates the interpreter's partial-op
+    /// - a trapping access replicates the reference step's partial-op
     ///   state (`instret`/`loads`/`stores` bumped, misalign charged, no
-    ///   retire) and reports the trapping op's index;
+    ///   retire);
     /// - the burst length is capped so `cycles` cannot reach `limit`
     ///   mid-burst (each eligible op costs at most 2 cycles including a
     ///   misalign stall), leaving watchdog placement to the caller;
     /// - self-modifying stores flush the cache and exit, exactly like
     ///   the per-op path.
     ///
-    /// Returns `(exit, ops_served)`; errors carry `(trap, index of the
-    /// trapping op, ops_served)`.
+    /// Returns `(exit, ops_served)`; errors carry `(trap, ops_served)`.
     ///
-    /// Preconditions: `self.pc == ops[idx].pc`, no fast-path bug
-    /// armed, and `ops[idx]` is burst-eligible.
+    /// Preconditions: `self.pc == ops[idx].pc`, no tracer and no
+    /// replay bug, and `ops[idx]` is burst-eligible.
     #[allow(clippy::too_many_lines)]
     fn seg_burst<B: Bus>(
         &mut self,
         bus: &mut B,
-        fp: &mut BlockCache,
         ops: &[Op],
         block_start: u32,
         mut idx: usize,
         limit: u64,
-    ) -> Result<(SegExit, u64), (Trap, usize, u64)> {
+    ) -> Result<(SegExit, u64), (Trap, u64)> {
         let mut remaining = limit.saturating_sub(self.perf.cycles) / 2;
         let mut served: u64 = 0;
         let (mut n_alu, mut n_load, mut n_store) = (0u64, 0u64, 0u64);
@@ -1634,7 +1446,7 @@ impl Core {
             let op = &ops[idx];
             let pend = op.pc.wrapping_add(op.ilen);
             match op.spec {
-                USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. } => {
+                USpec::Generic | USpec::Branch { .. } => {
                     flush!();
                     self.pc = op.pc;
                     return Ok((SegExit::At(idx), served));
@@ -1690,7 +1502,7 @@ impl Core {
                             self.perf.instret += 1;
                             self.perf.loads += 1;
                             self.pc = op.pc;
-                            return Err((Trap::Bus { pc: op.pc, error }, idx, served));
+                            return Err((Trap::Bus { pc: op.pc, error }, served));
                         }
                     }
                 }
@@ -1728,7 +1540,7 @@ impl Core {
                             self.perf.instret += 1;
                             self.perf.loads += 1;
                             self.pc = op.pc;
-                            return Err((Trap::Bus { pc: op.pc, error }, idx, served));
+                            return Err((Trap::Bus { pc: op.pc, error }, served));
                         }
                     }
                 }
@@ -1763,13 +1575,13 @@ impl Core {
                     if timing::crosses_word_boundary(addr, size) {
                         self.seg_misalign();
                     }
-                    let smc = fp.covers_code(addr, size);
+                    let smc = self.blocks.covers_code(addr, size);
                     if let Err(error) = bus.write(addr, size, self.reg(rs2)) {
                         flush!();
                         self.perf.instret += 1;
                         self.perf.stores += 1;
                         self.pc = op.pc;
-                        return Err((Trap::Bus { pc: op.pc, error }, idx, served));
+                        return Err((Trap::Bus { pc: op.pc, error }, served));
                     }
                     if post_inc {
                         self.set_reg(rs1, base.wrapping_add(offset));
@@ -1782,7 +1594,7 @@ impl Core {
                         served += 1;
                         let next = self.hwloop_next_pc(op.pc, op.ilen, pend);
                         flush!();
-                        fp.flush();
+                        self.blocks.flush();
                         self.pc = next;
                         return Ok((SegExit::Out, served));
                     }
@@ -1840,19 +1652,35 @@ impl Core {
         }
     }
 
-    /// The bulk-replay loop behind [`Core::run_fast`]: resolve the
-    /// block at the current PC once, then retire its pre-decoded ops
-    /// back-to-back — including hardware-loop back-edges, which rewind
-    /// the index in place — re-entering the resolver only on real
+    /// The halt report for an `ecall` that just retired.
+    fn halt_status(&self) -> ExitStatus {
+        ExitStatus {
+            halted: true,
+            exit_code: self.reg(Reg::A0),
+            pc: self.pc,
+        }
+    }
+
+    /// Runs until `ecall`, a trap, or the cycle budget is exhausted
+    /// (reported as [`Trap::Watchdog`]).
+    ///
+    /// The block at the current PC is resolved once and its
+    /// pre-decoded ops retire back-to-back — hardware-loop back-edges
+    /// rewind the index in place — re-entering the cache only on real
     /// discontinuities (jumps elsewhere, traps, self-modifying stores,
-    /// untranslatable PCs).
-    fn run_fast_blocks<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        fp: &mut BlockCache,
-        max_cycles: u64,
-        limit: u64,
-    ) -> Result<ExitStatus, Trap> {
+    /// untranslatable PCs). Untraced runs retire runs of simple ops as
+    /// counter-batched bursts; with a tracer attached every op retires
+    /// at per-op granularity, exactly as [`Core::step`] would, so each
+    /// retire is recorded. Halt points, traps and counters are
+    /// identical at either granularity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`Trap`] raised by an instruction;
+    /// [`Trap::Watchdog`] if the cycle budget runs out first.
+    pub fn run<B: Bus>(&mut self, bus: &mut B, max_cycles: u64) -> Result<ExitStatus, Trap> {
+        let limit = self.perf.cycles.saturating_add(max_cycles);
+        let burst = self.tracer.is_none() && self.blocks.bug == FastBug::None;
         loop {
             if self.perf.cycles >= limit {
                 return Err(Trap::Watchdog {
@@ -1860,44 +1688,34 @@ impl Core {
                     budget: max_cycles,
                 });
             }
-            if fp.isa() != self.isa {
-                fp.reconfigure(self.isa);
-            }
-            let Some((block, mut idx, fresh)) = fp.current_run(self, bus) else {
-                // Untranslatable PC: one interpreter step surfaces the
-                // fetch/decode/extension trap (or executes the oddball
-                // instruction) with the interpreter's exact state.
-                if self.step_interp(bus)? {
-                    return Ok(ExitStatus {
-                        halted: true,
-                        exit_code: self.reg(Reg::A0),
-                        pc: self.pc,
-                    });
+            let Some((block, mut idx, fresh)) = self.blocks.current_run(self.pc, self.isa, bus)
+            else {
+                if self.reference_step(bus)? {
+                    return Ok(self.halt_status());
                 }
                 continue;
             };
-            let bug = fp.bug;
+            // The replay reads the op pool while the cache stays
+            // mutable (a store into fetched code flushes it).
+            let pool = std::mem::take(&mut self.blocks.pool);
+            let ops = block.ops(&pool);
             let mut served: u64 = 0;
             // `Ok(Some(exit))` halt, `Ok(None)` resolve afresh,
-            // `Err(trap)` propagate with the cursor parked on the
-            // trapping op (a resumed run re-executes it, exactly like
-            // the interpreter).
+            // `Err(trap)` propagate.
             let outcome: Result<Option<ExitStatus>, Trap> = 'replay: loop {
                 if self.perf.cycles >= limit {
-                    fp.resume_at(block, idx);
-                    fp.stats.hits += served.saturating_sub(fresh as u64);
-                    return Err(Trap::Watchdog {
+                    break 'replay Err(Trap::Watchdog {
                         pc: self.pc,
                         budget: max_cycles,
                     });
                 }
-                let mut op = &block.ops[idx];
+                let mut op = &ops[idx];
                 // Runs of simple ops execute as a counter-batched burst;
                 // it hands back on the first op that needs the general
                 // path (or on budget/discontinuity), which then executes
                 // one op below before the next burst attempt.
-                if bug == FastBug::None && op.spec.burst_eligible() {
-                    match self.seg_burst(bus, fp, &block.ops, block.start, idx, limit) {
+                if burst && op.spec.burst_eligible() {
+                    match self.seg_burst(bus, ops, block.start, idx, limit) {
                         Ok((SegExit::At(i), s)) => {
                             idx = i;
                             if s > 0 {
@@ -1910,36 +1728,25 @@ impl Core {
                             // Nothing served: the op needs the general
                             // path (or the budget head-room is below one
                             // burst op) — execute exactly one op below.
-                            op = &block.ops[idx];
+                            op = &ops[idx];
                         }
                         Ok((SegExit::Out, s)) => {
                             served += s;
                             break 'replay Ok(None);
                         }
-                        Err((t, i, s)) => {
+                        Err((t, s)) => {
                             served += s;
-                            idx = i;
                             break 'replay Err(t);
                         }
                     }
                 }
                 served += 1;
-                let (halted, flushed) = match self.exec_spec(bus, fp, op) {
+                let (halted, flushed) = match self.exec_op(bus, op) {
                     Ok(r) => r,
                     Err(t) => break 'replay Err(t),
                 };
                 if halted {
-                    break 'replay Ok(Some(ExitStatus {
-                        halted: true,
-                        exit_code: self.reg(Reg::A0),
-                        pc: self.pc,
-                    }));
-                }
-                if bug == FastBug::SquashRedirects {
-                    let seq = op.pc.wrapping_add(op.ilen);
-                    if self.pc != seq {
-                        self.pc = seq;
-                    }
+                    break 'replay Ok(Some(self.halt_status()));
                 }
                 if flushed {
                     // The store overwrote fetched code: the cache was
@@ -1948,7 +1755,7 @@ impl Core {
                     break 'replay Ok(None);
                 }
                 idx += 1;
-                match block.ops.get(idx) {
+                match ops.get(idx) {
                     Some(next) if next.pc == self.pc => {}
                     _ => {
                         if self.pc == block.start {
@@ -1961,17 +1768,10 @@ impl Core {
                     }
                 }
             };
-            fp.stats.hits += served.saturating_sub(fresh as u64);
-            match outcome {
-                Ok(Some(exit)) => {
-                    fp.resume_at(block, idx + 1);
-                    return Ok(exit);
-                }
-                Ok(None) => {}
-                Err(t) => {
-                    fp.resume_at(block, idx);
-                    return Err(t);
-                }
+            self.blocks.return_pool(pool);
+            self.blocks.stats.hits += served.saturating_sub(fresh as u64);
+            if let Some(exit) = outcome? {
+                return Ok(exit);
             }
         }
     }
@@ -2037,8 +1837,23 @@ fn vec_trap(pc: u32, instr: &Instr, e: VecError) -> Trap {
     }
 }
 
+/// The extension `instr` needs that `isa` lacks, if any — the one
+/// extension gate shared by [`Core::reference_step`] and the block
+/// translator.
+pub(crate) fn missing_extension(isa: IsaConfig, instr: &Instr) -> Option<&'static str> {
+    if instr.requires_rvv() && !isa.rvv {
+        Some("xrvv")
+    } else if instr.requires_xpulpnn() && !isa.xpulpnn {
+        Some("xpulpnn")
+    } else if instr.requires_xpulpv2() && !isa.xpulpv2 {
+        Some("xpulpv2")
+    } else {
+        None
+    }
+}
+
 /// Width-extends a raw little-endian load result per the load kind
-/// (shared by the interpreter's `load_value` and the burst executor).
+/// (shared by `Core::load_value` and the burst executor).
 #[inline]
 fn extend_load(kind: LoadKind, raw: u32) -> u32 {
     match kind {
@@ -2945,8 +2760,8 @@ mod tests {
         assert_eq!(core.reg(Reg::A0), 128, "VLEN=256 at e2");
     }
 
-    /// The fast path executes vector ops through `USpec::Generic`; the
-    /// counters and results must match pure interpretation bit-exactly.
+    /// Block replay executes vector ops through `USpec::Generic`; the
+    /// counters and results must match reference steps bit-exactly.
     #[test]
     fn fastpath_matches_interpreter_on_vector_program() {
         let mut a = Asm::new(0);
@@ -2972,7 +2787,7 @@ mod tests {
         a.ecall();
         let prog = a.assemble().unwrap();
 
-        let run = |fast: bool| {
+        let run = |replay: bool| {
             let mut mem = SliceMem::new(0, 1 << 16);
             mem.load_program(&prog);
             for i in 0..16u32 {
@@ -2980,22 +2795,24 @@ mod tests {
                     .unwrap();
             }
             let mut core = Core::new(IsaConfig::vector());
-            if fast {
-                core.enable_fastpath();
-            }
             core.pc = prog.base;
-            assert!(core.run(&mut mem, 100_000).unwrap().halted);
+            let exit = if replay {
+                core.run(&mut mem, 100_000)
+            } else {
+                crate::fastpath::tests::reference_run(&mut core, &mut mem, 100_000)
+            };
+            assert!(exit.unwrap().halted);
             (
                 core.reg(Reg::A0),
                 core.perf,
                 core.vector_unit().expect("unit").clone(),
             )
         };
-        let (interp_a0, interp_perf, interp_vec) = run(false);
+        let (ref_a0, ref_perf, ref_vec) = run(false);
         let (fast_a0, fast_perf, fast_vec) = run(true);
-        assert_eq!(interp_a0, fast_a0);
-        assert_eq!(interp_perf, fast_perf);
-        assert_eq!(interp_vec, fast_vec);
-        assert_eq!(interp_perf.vec_dots, 8);
+        assert_eq!(ref_a0, fast_a0);
+        assert_eq!(ref_perf, fast_perf);
+        assert_eq!(ref_vec, fast_vec);
+        assert_eq!(ref_perf.vec_dots, 8);
     }
 }

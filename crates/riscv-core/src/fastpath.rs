@@ -1,16 +1,15 @@
-//! Decoded-basic-block fast path.
+//! Decoded-basic-block replay: the core's one execution engine.
 //!
-//! The interpreter pays a fetch → decode → extension-check pipeline for
-//! every retired instruction, and PULP-NN kernels retire millions of
-//! instructions from a few dozen static addresses (tight hardware-loop
-//! bodies). The fast path converts that regularity into host
-//! throughput: straight-line spans are decoded **once** into compact
-//! [`Op`] runs ([`Block`]s), cached by start PC, and replayed through
-//! the *same* execution routine the interpreter uses
-//! (`Core::exec_decoded`). Because only the fetch/decode work is
-//! elided — never the execution or cycle-accounting code — architectural
-//! state, the `cycles == Σ buckets` ledger invariant, and every pinned
-//! cycle count stay bit-exact by construction.
+//! Fetch → decode → extension check costs more than executing most
+//! instructions, and PULP-NN kernels retire millions of instructions
+//! from a few dozen static addresses (tight hardware-loop bodies). So
+//! every core decodes straight-line spans **once** into compact [`Op`]
+//! runs ([`Block`]s), caches them by start PC, and replays them through
+//! execution routines that share `Core::exec_decoded`'s side-effect
+//! order. Only the fetch/decode work is elided — never the execution or
+//! cycle-accounting code — so architectural state, the
+//! `cycles == Σ buckets` ledger invariant, and every pinned cycle count
+//! match `Core::reference_step`, the uncached path, bit-exactly.
 //!
 //! # Block formation
 //!
@@ -21,8 +20,7 @@
 //!   from its pre-decoded form just fine;
 //! * an instruction that fails to fetch, decode, or pass the extension
 //!   check — **excluded**, so the trap (if execution ever gets there)
-//!   is raised by a fallback interpreter step with the interpreter's
-//!   exact PC and state;
+//!   is raised by a reference step with its exact PC and state;
 //! * the block size cap.
 //!
 //! Hardware-loop back-edges need no special casing: the executor
@@ -30,25 +28,29 @@
 //! (or any other redirect) simply ends the block replay and the next
 //! lookup starts at the loop head.
 //!
-//! # Fallback matrix
+//! # Two replay granularities
 //!
-//! | situation | behaviour |
+//! * **burst** — untraced `Core::run` retires runs of simple
+//!   single-cycle ops with counters batched in registers;
+//! * **per-op** — `Core::step`, and `Core::run` with a tracer attached,
+//!   retire one op at a time and record each retire's trace entry.
+//!
+//! # Coherence
+//!
+//! | event | behaviour |
 //! |---|---|
-//! | tracer attached | pure interpretation (`step`/`run` check first) |
-//! | fault plan armed | driver calls `Core::disable_fastpath()` |
-//! | op would trap | untranslatable op → fallback interpreter step |
+//! | PC untranslatable | one `Core::reference_step` |
 //! | store hits fetched code | store executes, then the cache flushes |
 //! | `restore()` / `reset()` | cache flushes |
-//! | host write bypassing the bus | caller calls `Core::invalidate_fastpath()` |
+//! | write bypassing the bus | caller calls `Core::invalidate_code` or `Core::invalidate_fastpath` |
 //! | ISA config changed | cache flushes on the next lookup |
 
 use crate::bus::Bus;
-use crate::core::{Core, IsaConfig};
+use crate::core::{missing_extension, Core, IsaConfig};
 use crate::perf::fmt_index;
 use pulp_isa::instr::{AluOp, BranchCond, Instr, LoadKind, SimdOperand};
 use pulp_isa::simd::{DotSign, SimdFmt};
 use pulp_isa::Reg;
-use std::sync::Arc;
 
 /// Longest block the translator will form, in instructions. Long
 /// enough to swallow any kernel loop body whole, short enough that a
@@ -59,6 +61,14 @@ const MAX_BLOCK_OPS: usize = 64;
 /// `(pc >> 1) & (BLOCK_SLOTS - 1)`, so starts within an 8 kB code
 /// window never alias; a colliding start simply evicts the old block.
 const BLOCK_SLOTS: usize = 4096;
+
+/// Ops the pool reserves up front: every shipped kernel translates
+/// fewer, so its runs allocate nothing after the core is built.
+const POOL_RESERVE: usize = 256;
+
+/// Pool size at which translation flushes the cache first, bounding
+/// the ops that evicted blocks leave behind.
+const POOL_LIMIT: usize = 1 << 14;
 
 /// One pre-decoded instruction: everything `Core::exec_decoded` needs,
 /// plus the translate-time specialization (see [`USpec`]).
@@ -88,7 +98,7 @@ pub(crate) enum DotOp2 {
 
 /// Translate-time specialization of one instruction.
 ///
-/// The interpreter's `Core::exec_decoded` pays for generality on every
+/// `Core::exec_decoded` pays for generality on every
 /// retire: a 50-way match, runtime-`fmt` SIMD lane loops, dynamic
 /// load/store sizing. The profiled QNN kernels spend >90 % of retires
 /// in a handful of shapes (post-increment word loads, `pv.sdot*`,
@@ -167,8 +177,6 @@ pub(crate) enum USpec {
         rs2: Reg,
         offset: u32,
     },
-    /// Direct jump-and-link.
-    Jal { rd: Reg, offset: u32 },
     /// `pv.dot*` / `pv.sdot*` with the lane math monomorphized per
     /// `(fmt, sign)` (dispatched through [`dot_eval`]) and the ledger
     /// index precomputed.
@@ -190,10 +198,7 @@ impl USpec {
     /// branches and jumps always go through the general per-op path.
     #[inline]
     pub(crate) fn burst_eligible(&self) -> bool {
-        !matches!(
-            self,
-            USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. }
-        )
+        !matches!(self, USpec::Generic | USpec::Branch { .. })
     }
 }
 
@@ -376,10 +381,6 @@ pub(crate) fn specialize(instr: &Instr) -> USpec {
             rs2,
             offset: offset as u32,
         },
-        Instr::Jal { rd, offset } => USpec::Jal {
-            rd,
-            offset: offset as u32,
-        },
         Instr::PvDot {
             fmt,
             sign,
@@ -398,15 +399,22 @@ pub(crate) fn specialize(instr: &Instr) -> USpec {
     }
 }
 
-/// A decoded straight-line span. Blocks are immutable once formed and
-/// shared via [`Arc`] so a `Core` clone (or a cluster hart running on
-/// another thread) is cheap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
+/// A decoded straight-line span: `len` ops (never zero) from `first`
+/// in the cache's op pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Block {
     /// PC of the first op (the cache key).
-    pub start: u32,
-    /// The pre-decoded run; never empty.
-    pub ops: Vec<Op>,
+    pub(crate) start: u32,
+    first: u32,
+    len: u32,
+}
+
+impl Block {
+    /// The block's ops in `pool`.
+    #[inline]
+    pub(crate) fn ops(self, pool: &[Op]) -> &[Op] {
+        &pool[self.first as usize..(self.first + self.len) as usize]
+    }
 }
 
 /// Block-cache event counters (host-side instrumentation; these never
@@ -421,14 +429,14 @@ pub struct FastPathStats {
     pub translations: u64,
     /// Total ops across all translations.
     pub translated_ops: u64,
-    /// Steps that fell back to the interpreter (untranslatable PC).
+    /// Steps that fell back to a reference step (untranslatable PC).
     pub interp_fallbacks: u64,
     /// Whole-cache flushes (restore/reset/SMC/ISA change/capacity).
     pub invalidations: u64,
 }
 
 impl FastPathStats {
-    /// Fraction of fast-path steps served from the cache, in `0..=1`
+    /// Fraction of replayed steps served from the cache, in `0..=1`
     /// (`1.0` for an idle cache, so a fresh core reads as "no misses").
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses + self.interp_fallbacks;
@@ -440,14 +448,14 @@ impl FastPathStats {
     }
 }
 
-/// A deliberate, switchable fast-path defect.
+/// A deliberate, switchable block-replay defect.
 ///
 /// Test-only by convention (mirrors `conformance`'s `RefBug`): the
 /// lockstep oracle and the divergence shrinker are themselves validated
 /// by arming a known bug and proving they catch and minimize it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastBug {
-    /// No defect: the fast path is faithful.
+    /// No defect: block replay is faithful.
     #[default]
     None,
     /// Drops every PC redirect after a cached op retires (taken
@@ -465,11 +473,19 @@ pub enum FastBug {
 /// and a genuine table probe is one masked index plus a tag compare.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
-    slots: Vec<Option<Arc<Block>>>,
+    /// Index into `blocks` plus one per slot; 0 is empty.
+    slots: Vec<u32>,
+    /// Every block translated since the last flush.
+    blocks: Vec<Block>,
+    /// The ops of every block, back to back. Reserved when the core is
+    /// built and only cleared by a flush, so translation does not
+    /// allocate while a run's caller holds other buffers (an
+    /// allocation mid-run would pin the heap above them).
+    pub(crate) pool: Vec<Op>,
     /// The block being replayed and the index of the *next* op —
     /// consecutive ops (and back-edges to the block head) are served
     /// without touching the table.
-    cursor: Option<(Arc<Block>, usize)>,
+    cursor: Option<(Block, usize)>,
     isa: IsaConfig,
     /// Byte span covered by every fetch the translator has performed
     /// (`lo > hi` ⇒ empty). Stores intersecting it are self-modifying.
@@ -485,7 +501,9 @@ impl BlockCache {
     /// An empty cache for a core configured with `isa`.
     pub(crate) fn new(isa: IsaConfig) -> BlockCache {
         BlockCache {
-            slots: vec![None; BLOCK_SLOTS],
+            slots: vec![0; BLOCK_SLOTS],
+            blocks: Vec::with_capacity(POOL_RESERVE / 4),
+            pool: Vec::with_capacity(POOL_RESERVE),
             cursor: None,
             isa,
             code_lo: u32::MAX,
@@ -495,26 +513,15 @@ impl BlockCache {
         }
     }
 
-    /// The ISA configuration the cached blocks were translated under.
-    pub(crate) fn isa(&self) -> IsaConfig {
-        self.isa
-    }
-
     /// Drops every cached block and the covered-code span.
     pub(crate) fn flush(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.slots.fill(0);
+        self.blocks.clear();
+        self.pool.clear();
         self.cursor = None;
         self.code_lo = u32::MAX;
         self.code_hi = 0;
         self.stats.invalidations += 1;
-    }
-
-    /// Flushes and re-keys the cache for a new ISA configuration
-    /// (extension checks are performed at translation time, so blocks
-    /// from another configuration are unusable).
-    pub(crate) fn reconfigure(&mut self, isa: IsaConfig) {
-        self.flush();
-        self.isa = isa;
     }
 
     /// True when a `size`-byte access at `addr` intersects any region
@@ -523,77 +530,84 @@ impl BlockCache {
         addr < self.code_hi && addr.saturating_add(size) > self.code_lo
     }
 
-    /// The pre-decoded op at the core's current PC, translating a new
-    /// block on a miss. `None` means no block can be formed there (the
-    /// very first instruction fails to fetch/decode/extension-check) —
-    /// the caller must fall back to one interpreter step.
-    pub(crate) fn next_op<B: Bus>(&mut self, core: &Core, bus: &mut B) -> Option<Op> {
-        let pc = core.pc;
+    /// Points the cursor at the op for `pc` — cursor hit, back-edge
+    /// wrap, table probe, then fresh translation — for a core
+    /// configured with `isa`. Returns whether the block is a fresh
+    /// translation (its first op already counted as the miss); `None`
+    /// means no block can be formed there (the very first instruction
+    /// fails to fetch/decode/extension-check) and the caller must take
+    /// one reference step.
+    fn seek<B: Bus>(&mut self, pc: u32, isa: IsaConfig, bus: &mut B) -> Option<bool> {
+        if isa != self.isa {
+            // Extension checks run at translation time, so blocks
+            // from another configuration are unusable.
+            self.flush();
+            self.isa = isa;
+        }
         if let Some((block, idx)) = &mut self.cursor {
-            if let Some(op) = block.ops.get(*idx) {
-                if op.pc == pc {
-                    let op = *op;
-                    *idx += 1;
-                    self.stats.hits += 1;
-                    return Some(op);
-                }
+            if block
+                .ops(&self.pool)
+                .get(*idx)
+                .is_some_and(|op| op.pc == pc)
+            {
+                return Some(false);
             }
             // Back-edge to the head of the very block on the cursor
             // (the hardware-loop steady state): rewind in place, no
             // table probe.
             if block.start == pc {
-                let op = block.ops[0];
-                *idx = 1;
-                self.stats.hits += 1;
-                return Some(op);
+                *idx = 0;
+                return Some(false);
             }
         }
-        if let Some(block) = &self.slots[Self::slot_of(pc)] {
-            if block.start == pc {
-                let block = Arc::clone(block);
-                let op = block.ops[0];
-                self.cursor = Some((block, 1));
-                self.stats.hits += 1;
-                return Some(op);
-            }
+        if let Some(block) = self.lookup(pc) {
+            self.cursor = Some((block, 0));
+            return Some(false);
         }
-        let block = self.translate(core, bus, pc)?;
-        Some(block.ops[0])
+        self.translate(bus, pc)?;
+        Some(true)
     }
 
-    /// Resolves the block containing the core's current PC for a bulk
-    /// replay (`Core::run_fast`): cursor, back-edge wrap, table probe,
-    /// then fresh translation. Returns `(block, index, fresh)`; the
-    /// caller owns hit accounting for the ops it actually replays
-    /// (`fresh` marks that the first op was already counted as the
-    /// translation's miss). `None` means the PC is untranslatable and
-    /// the caller must take one interpreter step.
+    /// The pre-decoded op at `pc` for single-op replay (`Core::step`),
+    /// advancing the cursor past it. `None` as for [`BlockCache::seek`].
+    pub(crate) fn next_op<B: Bus>(&mut self, pc: u32, isa: IsaConfig, bus: &mut B) -> Option<Op> {
+        let fresh = self.seek(pc, isa, bus)?;
+        self.stats.hits += u64::from(!fresh);
+        let (block, idx) = self.cursor.as_mut()?;
+        *idx += 1;
+        Some(block.ops(&self.pool)[*idx - 1])
+    }
+
+    /// The block and op index at `pc` for a bulk replay (`Core::run`),
+    /// plus whether the block is fresh. The caller owns hit accounting
+    /// for the ops it actually replays. `None` as for
+    /// [`BlockCache::seek`].
     pub(crate) fn current_run<B: Bus>(
         &mut self,
-        core: &Core,
+        pc: u32,
+        isa: IsaConfig,
         bus: &mut B,
-    ) -> Option<(Arc<Block>, usize, bool)> {
-        let pc = core.pc;
-        if let Some((block, idx)) = &self.cursor {
-            if block.ops.get(*idx).is_some_and(|op| op.pc == pc) {
-                return Some((Arc::clone(block), *idx, false));
-            }
-            if block.start == pc {
-                return Some((Arc::clone(block), 0, false));
-            }
-        }
-        if let Some(block) = &self.slots[Self::slot_of(pc)] {
-            if block.start == pc {
-                return Some((Arc::clone(block), 0, false));
-            }
-        }
-        self.translate(core, bus, pc).map(|b| (b, 0, true))
+    ) -> Option<(Block, usize, bool)> {
+        let fresh = self.seek(pc, isa, bus)?;
+        let (block, idx) = self.cursor?;
+        Some((block, idx, fresh))
     }
 
-    /// Re-arms the cursor after a bulk replay so a later single-step
-    /// (or resumed run) continues from the same pre-decoded position.
-    pub(crate) fn resume_at(&mut self, block: Arc<Block>, idx: usize) {
-        self.cursor = Some((block, idx));
+    /// Hands back the op pool a replay took out (`Core::run` executes
+    /// from it while the cache stays mutable). A flush during the
+    /// replay emptied `blocks`, so the pool's ops are stale then.
+    pub(crate) fn return_pool(&mut self, mut pool: Vec<Op>) {
+        if self.blocks.is_empty() {
+            pool.clear();
+        }
+        self.pool = pool;
+    }
+
+    /// The cached block starting exactly at `pc`, if any.
+    fn lookup(&self, pc: u32) -> Option<Block> {
+        let slot = self.slots[Self::slot_of(pc)] as usize;
+        let block = *self.blocks.get(slot.checked_sub(1)?)?;
+        (block.start == pc).then_some(block)
     }
 
     /// Direct-mapped slot of a block start. Instructions are at least
@@ -603,18 +617,19 @@ impl BlockCache {
         ((pc >> 1) as usize) & (BLOCK_SLOTS - 1)
     }
 
-    /// Decodes a fresh block starting at `pc`, caches it, and returns
-    /// it (with the cursor primed past the first op).
-    fn translate<B: Bus>(&mut self, core: &Core, bus: &mut B, start: u32) -> Option<Arc<Block>> {
-        let mut ops = Vec::new();
+    /// Decodes a fresh block starting at `pc`, caches it, and points
+    /// the cursor at its first op.
+    fn translate<B: Bus>(&mut self, bus: &mut B, start: u32) -> Option<()> {
+        if self.pool.len() + MAX_BLOCK_OPS > POOL_LIMIT {
+            self.flush();
+        }
+        let first = self.pool.len();
         let mut pc = start;
-        while ops.len() < MAX_BLOCK_OPS {
-            let Ok((instr, ilen)) = core.fetch_decode_at(bus, pc) else {
+        while self.pool.len() - first < MAX_BLOCK_OPS {
+            let Ok((instr, ilen)) = Core::fetch_decode_at(bus, pc) else {
                 break;
             };
-            if (instr.requires_xpulpnn() && !self.isa.xpulpnn)
-                || (instr.requires_xpulpv2() && !self.isa.xpulpv2)
-            {
+            if missing_extension(self.isa, &instr).is_some() {
                 break;
             }
             let ends_block = matches!(
@@ -625,7 +640,7 @@ impl BlockCache {
                     | Instr::Ecall
                     | Instr::Ebreak
             );
-            ops.push(Op {
+            self.pool.push(Op {
                 pc,
                 ilen,
                 instr,
@@ -638,58 +653,98 @@ impl BlockCache {
             }
             pc = pc.wrapping_add(ilen);
         }
-        if ops.is_empty() {
+        let len = self.pool.len() - first;
+        if len == 0 {
             self.cursor = None;
             self.stats.interp_fallbacks += 1;
             return None;
         }
         self.stats.translations += 1;
-        self.stats.translated_ops += ops.len() as u64;
+        self.stats.translated_ops += len as u64;
         self.stats.misses += 1;
-        let block = Arc::new(Block { start, ops });
+        let block = Block {
+            start,
+            first: first as u32,
+            len: len as u32,
+        };
+        self.blocks.push(block);
         // Direct-mapped: a colliding start simply evicts the old block
-        // (it re-translates if re-entered), which also bounds the
-        // cache at `BLOCK_SLOTS` without a capacity flush.
-        self.slots[Self::slot_of(start)] = Some(Arc::clone(&block));
-        self.cursor = Some((Arc::clone(&block), 1));
-        Some(block)
+        // (it re-translates if re-entered); its ops stay in the pool
+        // until `POOL_LIMIT` forces a flush.
+        self.slots[Self::slot_of(start)] = self.blocks.len() as u32;
+        self.cursor = Some((block, 0));
+        Some(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bus::SliceMem;
-    use crate::core::{Core, IsaConfig, Trap};
+    use crate::core::{Core, ExitStatus, IsaConfig, Trap};
     use pulp_asm::Asm;
     use pulp_isa::Reg;
 
-    /// Assembles, then runs the program twice — interpreter vs fast
-    /// path — and asserts full architectural + counter identity.
+    /// Reference steps only, under `Core::run`'s cycle budget contract:
+    /// the uncached oracle every replay test compares against.
+    pub(crate) fn reference_run<B: Bus>(
+        core: &mut Core,
+        bus: &mut B,
+        max_cycles: u64,
+    ) -> Result<ExitStatus, Trap> {
+        let limit = core.perf.cycles.saturating_add(max_cycles);
+        while core.perf.cycles < limit {
+            if core.reference_step(bus)? {
+                return Ok(ExitStatus {
+                    halted: true,
+                    exit_code: core.reg(Reg::A0),
+                    pc: core.pc,
+                });
+            }
+        }
+        Err(Trap::Watchdog {
+            pc: core.pc,
+            budget: max_cycles,
+        })
+    }
+
+    /// Assembles, then runs the program three ways — traced reference
+    /// steps, traced per-op replay and burst replay — and asserts full
+    /// architectural, counter and trace identity. Returns the reference
+    /// core and the burst core.
     fn assert_paths_agree(build: impl Fn(&mut Asm)) -> (Core, Core) {
         let mut a = Asm::new(0);
         build(&mut a);
         let prog = a.assemble().expect("assembly failed");
 
-        let run = |fast: bool| {
+        let run = |reference: bool, traced: bool| {
             let mut mem = SliceMem::new(0, 1 << 16);
             mem.load_program(&prog);
             let mut core = Core::new(IsaConfig::xpulpnn());
             core.pc = prog.base;
-            if fast {
-                core.enable_fastpath();
+            if traced {
+                core.attach_tracer(256);
             }
-            let exit = core.run(&mut mem, 1_000_000).expect("trap");
-            assert!(exit.halted);
+            let exit = if reference {
+                reference_run(&mut core, &mut mem, 1_000_000)
+            } else {
+                core.run(&mut mem, 1_000_000)
+            };
+            assert!(exit.expect("trap").halted);
             (core, mem)
         };
-        let (interp, imem) = run(false);
-        let (fast, fmem) = run(true);
-        assert_eq!(interp.regs, fast.regs);
-        assert_eq!(interp.pc, fast.pc);
-        assert_eq!(interp.perf, fast.perf);
-        assert_eq!(imem.as_bytes(), fmem.as_bytes());
-        (interp, fast)
+        let (reference, rmem) = run(true, true);
+        let (per_op, pmem) = run(false, true);
+        let (burst, bmem) = run(false, false);
+        let trace = |c: &Core| c.tracer().unwrap().entries().copied().collect::<Vec<_>>();
+        assert_eq!(trace(&reference), trace(&per_op));
+        for (core, mem) in [(&per_op, &pmem), (&burst, &bmem)] {
+            assert_eq!(reference.regs, core.regs);
+            assert_eq!(reference.pc, core.pc);
+            assert_eq!(reference.perf, core.perf);
+            assert_eq!(rmem.as_bytes(), mem.as_bytes());
+        }
+        (reference, burst)
     }
 
     #[test]
@@ -718,7 +773,7 @@ mod tests {
             a.ecall();
         });
         assert_eq!(fast.reg(Reg::A0), 200);
-        let stats = fast.fastpath_stats().expect("fastpath enabled");
+        let stats = fast.fastpath_stats().expect("block cache");
         assert!(
             stats.hit_rate() > 0.9,
             "loop body should be cache-served: {stats:?}"
@@ -727,10 +782,40 @@ mod tests {
     }
 
     #[test]
+    fn aliasing_blocks_retranslate_within_a_bounded_pool() {
+        // `f1` and `f2` start 8 kB apart, so they share a table slot and
+        // evict each other on every call; each re-translation appends
+        // their ops to the pool until `POOL_LIMIT` forces a flush.
+        let calls = (POOL_LIMIT / 4 + 10) as i32;
+        let (_, burst) = assert_paths_agree(|a| {
+            a.li(Reg::A0, 0);
+            a.li(Reg::T0, calls);
+            a.label("loop");
+            a.jal("f1");
+            a.jal("f2");
+            a.addi(Reg::T0, Reg::T0, -1);
+            a.bne(Reg::T0, Reg::Zero, "loop");
+            a.ecall();
+            a.label("f1");
+            a.addi(Reg::A0, Reg::A0, 1);
+            a.ret();
+            for _ in 0..2046 {
+                a.nop();
+            }
+            a.label("f2");
+            a.addi(Reg::A0, Reg::A0, 2);
+            a.ret();
+        });
+        assert_eq!(burst.reg(Reg::A0), 3 * calls as u32);
+        let stats = burst.fastpath_stats().expect("block cache");
+        assert!(stats.invalidations >= 1, "pool limit must flush: {stats:?}");
+    }
+
+    #[test]
     fn run_is_resumable_in_one_cycle_chunks_under_fastpath() {
         // Chunked budget-1 runs must land on exactly the same state as
-        // one big run: the fast path's per-op budget check is the
-        // interpreter's per-step check.
+        // one big run: block replay checks the budget before every op,
+        // like a reference step loop.
         let mut a = Asm::new(0);
         a.li(Reg::A0, 5);
         a.li(Reg::A1, 3);
@@ -744,14 +829,12 @@ mod tests {
         let mut mem = SliceMem::new(0, 1 << 16);
         mem.load_program(&prog);
         let mut one = Core::new(IsaConfig::xpulpnn());
-        one.enable_fastpath();
         one.pc = prog.base;
         let exit_one = one.run(&mut mem, 10_000).unwrap();
 
         let mut mem = SliceMem::new(0, 1 << 16);
         mem.load_program(&prog);
         let mut chunked = Core::new(IsaConfig::xpulpnn());
-        chunked.enable_fastpath();
         chunked.pc = prog.base;
         let exit_chunked = loop {
             match chunked.run(&mut mem, 1) {
@@ -779,15 +862,17 @@ mod tests {
         a.ecall();
         let prog = a.assemble().unwrap();
 
-        let trap_of = |fast: bool| {
+        let trap_of = |replay: bool| {
             let mut mem = SliceMem::new(0, 1 << 16);
             mem.load_program(&prog);
             let mut core = Core::new(IsaConfig::xpulpv2());
-            if fast {
-                core.enable_fastpath();
-            }
             core.pc = prog.base;
-            let trap = core.run(&mut mem, 1000).unwrap_err();
+            let trap = if replay {
+                core.run(&mut mem, 1000)
+            } else {
+                reference_run(&mut core, &mut mem, 1000)
+            }
+            .unwrap_err();
             (trap, core.pc, core.perf)
         };
         assert_eq!(trap_of(false), trap_of(true));
@@ -804,7 +889,7 @@ mod tests {
     #[test]
     fn self_modifying_store_invalidates_cached_blocks() {
         // The program patches the instruction at `patchme` from
-        // `addi a0, a0, 1` to `addi a0, a0, 64` *after* the fast path
+        // `addi a0, a0, 1` to `addi a0, a0, 64` *after* block replay
         // has already fetched and cached it, then loops back through it.
         let build = |a: &mut Asm| {
             a.li(Reg::A0, 0);
@@ -820,9 +905,9 @@ mod tests {
             a.bne(Reg::T1, Reg::Zero, "loop");
             a.ecall();
         };
-        let (interp, fast) = assert_paths_agree(build);
+        let (reference, fast) = assert_paths_agree(build);
         // First pass adds 1, second pass executes the patched add.
-        assert_eq!(interp.reg(Reg::A0), 65);
+        assert_eq!(reference.reg(Reg::A0), 65);
         assert_eq!(fast.reg(Reg::A0), 65);
         let stats = fast.fastpath_stats().unwrap();
         assert!(stats.invalidations >= 1, "SMC must flush: {stats:?}");
@@ -846,7 +931,6 @@ mod tests {
         let mut mem = SliceMem::new(0, 1 << 16);
         mem.load_program(&prog);
         let mut core = Core::new(IsaConfig::xpulpnn());
-        core.enable_fastpath();
         core.pc = prog.base;
 
         // Run once: `patchme` is now decoded and cached.
@@ -865,20 +949,20 @@ mod tests {
             "restore must not replay the stale decoded block"
         );
 
-        // Roll memory back too and confirm interpreter identity.
+        // Roll memory back too and confirm reference-step identity.
         mem.as_bytes_mut().copy_from_slice(&mem_snap);
         core.restore(&snap);
         let exit = core.run(&mut mem, 1000).unwrap();
         assert_eq!(exit.exit_code, 1);
 
-        let mut interp = Core::new(IsaConfig::xpulpnn());
-        interp.restore(&snap);
-        let mut imem = SliceMem::new(0, 1 << 16);
-        imem.as_bytes_mut().copy_from_slice(&mem_snap);
-        let iexit = interp.run(&mut imem, 1000).unwrap();
-        assert_eq!(iexit, exit);
-        assert_eq!(interp.regs, core.regs);
-        assert_eq!(interp.perf, core.perf);
+        let mut reference = Core::new(IsaConfig::xpulpnn());
+        reference.restore(&snap);
+        let mut rmem = SliceMem::new(0, 1 << 16);
+        rmem.as_bytes_mut().copy_from_slice(&mem_snap);
+        let rexit = reference_run(&mut reference, &mut rmem, 1000).unwrap();
+        assert_eq!(rexit, exit);
+        assert_eq!(reference.regs, core.regs);
+        assert_eq!(reference.perf, core.perf);
     }
 
     #[test]
@@ -896,7 +980,6 @@ mod tests {
             let mut mem = SliceMem::new(0, 1 << 16);
             mem.load_program(&prog);
             let mut core = Core::new(IsaConfig::xpulpnn());
-            core.enable_fastpath();
             core.set_fastpath_bug(bug);
             core.pc = prog.base;
             core.run(&mut mem, 1000).map(|e| e.exit_code)

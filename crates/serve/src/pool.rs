@@ -719,8 +719,8 @@ fn serve_one(shared: &Shared, worker: usize, machine: &mut Option<Machine>, job:
     };
     template.stage_input(&mut m.soc, &req.input);
 
-    // First attempt: armed (interpreter, flips applied) or plain
-    // (fast path). Both run under the per-request watchdog budget.
+    // First attempt: armed (per-op, flips applied) or plain (burst
+    // replay). Both run under the per-request watchdog budget.
     let mut total_cycles;
     let mut flips = 0usize;
     let attempt = if let Some(plan) = &plan {

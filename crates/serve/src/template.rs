@@ -129,7 +129,6 @@ impl WorkerTemplate {
         // Health check: the template must serve its own synthetic
         // input cleanly before any worker forks from it. This also
         // measures the fault-free runtime used for chaos windows.
-        soc.enable_fastpath();
         let report = soc
             .run(tb.cycle_budget())
             .map_err(|_| ServeError::TemplateUnhealthy { variant })?;
@@ -203,21 +202,18 @@ impl WorkerTemplate {
         Ok(())
     }
 
-    /// Forks a fresh worker machine from the template: new SoC, fast
-    /// path enabled, full state restored from the staged snapshot.
+    /// Forks a fresh worker machine from the template: new SoC, full
+    /// state restored from the staged snapshot.
     pub fn fork(&self) -> Soc {
         let mut soc = Soc::new(self.tb.isa_config());
-        soc.enable_fastpath();
         soc.restore(&self.snapshot);
         soc
     }
 
     /// Re-forks an existing machine in place (cold reset): restores the
-    /// full template state and re-enables the fast path (an armed run
-    /// disables it). `restore` flushes the decoded-block cache, so no
-    /// stale block from the machine's previous life can replay.
+    /// full template state. `restore` flushes the decoded-block cache,
+    /// so no stale block from the machine's previous life can replay.
     pub fn refork(&self, soc: &mut Soc) {
-        soc.enable_fastpath();
         soc.restore(&self.snapshot);
     }
 
