@@ -75,8 +75,8 @@ cargo run --release -q --locked -p xpulpnn-cli -- conformance --cases 1000 --see
 # instructions into the scalar/SIMD stream, the DUT's vector unit
 # lock-stepped against the reference interpreter's independent vector
 # semantics (vl, SEW and all 32 vector registers compared per step).
-echo "==> conformance vector lockstep (300 cases, seed 1)"
-cargo run --release -q --locked -p xpulpnn-cli -- conformance --vector --cases 300 --seed 1
+echo "==> conformance vector lockstep (1000 cases, seed 1)"
+cargo run --release -q --locked -p xpulpnn-cli -- conformance --vector --cases 1000 --seed 1
 
 # Block-replay lockstep oracle: every core runs one engine, decoded-
 # block replay; Core::reference_step (fetch, decode, check, execute,

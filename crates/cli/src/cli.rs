@@ -47,10 +47,12 @@ usage:
       writes one BENCH_<label>.json artifact
       per configuration (cycles, MACs/cycle, stall/conflict breakdown,
       per-core utilization) instead of printing a table; --host instead
-      benchmarks the *simulator* on this machine — the layer runs by
-      uncached reference steps and again by decoded-block replay
-      (verified bit-exact), and BENCH_host_throughput.json records simulated
-      cycles/second for both, the speedup and the block-cache hit rate
+      benchmarks the *simulator* on this machine — the layer (SIMD, then
+      Xrvv at VLEN 128) runs by uncached reference steps and again by
+      decoded-block replay (verified bit-exact), and
+      BENCH_host_throughput.json records simulated cycles/second for
+      both, the speedup and the block-cache hit rate (vector keys carry
+      a vector_ prefix)
   xpulpnn lint [<file.s>] [--races [--cores N]]
       statically verify a program: CFG + hardware-loop legality,
       dataflow (uninitialized reads, dead stores, reserved-register
@@ -595,39 +597,41 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `bench --host`: time the simulator itself on the Fig. 8 layer,
-/// reference steps vs. block replay, and write
+/// `bench --host`: time the simulator itself on the Fig. 8 layer (SIMD
+/// and Xrvv VLEN 128), reference steps vs. block replay, and write
 /// `BENCH_host_throughput.json`.
 fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
-    let r = xpulpnn::bench::host_throughput(o.seed).map_err(|e| fail(e.to_string()))?;
+    let report = xpulpnn::bench::host_throughput(o.seed).map_err(|e| fail(e.to_string()))?;
     let path = std::path::Path::new(&o.out_dir).join("BENCH_host_throughput.json");
-    std::fs::write(&path, format!("{}\n", r.to_json()))
+    std::fs::write(&path, format!("{}\n", report.to_json()))
         .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
     let mut out = String::new();
-    let _ = writeln!(out, "kernel          : {}", r.kernel);
-    let _ = writeln!(
-        out,
-        "simulated       : {} cycles / {} instructions (bit-exact on both paths)",
-        r.cycles, r.instret
-    );
-    let _ = writeln!(
-        out,
-        "reference step  : {:.3}s  ({:.2} Mcycles/s)",
-        r.reference_secs,
-        r.reference_cps() / 1e6
-    );
-    let _ = writeln!(
-        out,
-        "block replay    : {:.3}s  ({:.2} Mcycles/s)",
-        r.replay_secs,
-        r.replay_cps() / 1e6
-    );
-    let _ = writeln!(out, "speedup         : {:.2}x", r.speedup());
-    let _ = writeln!(
-        out,
-        "block cache     : {:.4} hit rate, {} blocks translated, {} reference fallbacks, {} invalidations",
-        r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
-    );
+    for r in [&report.simd, &report.vector] {
+        let _ = writeln!(out, "kernel          : {}", r.kernel);
+        let _ = writeln!(
+            out,
+            "simulated       : {} cycles / {} instructions (bit-exact on both paths)",
+            r.cycles, r.instret
+        );
+        let _ = writeln!(
+            out,
+            "reference step  : {:.3}s  ({:.2} Mcycles/s)",
+            r.reference_secs,
+            r.reference_cps() / 1e6
+        );
+        let _ = writeln!(
+            out,
+            "block replay    : {:.3}s  ({:.2} Mcycles/s)",
+            r.replay_secs,
+            r.replay_cps() / 1e6
+        );
+        let _ = writeln!(out, "speedup         : {:.2}x", r.speedup());
+        let _ = writeln!(
+            out,
+            "block cache     : {:.4} hit rate, {} blocks translated, {} reference fallbacks, {} invalidations",
+            r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
+        );
+    }
     let _ = writeln!(out, "wrote {}", path.display());
     Ok(out)
 }

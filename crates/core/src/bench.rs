@@ -186,9 +186,9 @@ impl BenchRecord {
     }
 }
 
-/// Host-side throughput of the simulator itself: the Fig. 8 4-bit
-/// layer, driven by `Core::reference_step` alone vs. decoded-block
-/// replay (`Soc::run`), on this machine.
+/// Host-side throughput of the simulator itself on one kernel, driven
+/// by `Core::reference_step` alone vs. decoded-block replay
+/// (`Soc::run`), on this machine.
 ///
 /// Simulated results are bit-exact between the two runs (that identity
 /// is asserted before the record is built); only host wall-clock
@@ -236,13 +236,20 @@ impl HostThroughputRecord {
 
     /// Serializes the record as a self-contained JSON object.
     pub fn to_json(&self) -> String {
+        format!("{{\n{}\n}}", self.json_fields(""))
+    }
+
+    /// The record's JSON members, one per line, each key prefixed with
+    /// `prefix` so several records can share one object.
+    fn json_fields(&self, prefix: &str) -> String {
         format!(
-            "{{\n  \"kernel\": \"{}\",\n  \"cycles\": {},\n  \"instret\": {},\n  \
-             \"reference_secs\": {:.6},\n  \"replay_secs\": {:.6},\n  \
-             \"reference_cycles_per_sec\": {:.0},\n  \"replay_cycles_per_sec\": {:.0},\n  \
-             \"speedup\": {:.2},\n  \"block_cache_hit_rate\": {:.6},\n  \
-             \"block_cache_misses\": {},\n  \"blocks_translated\": {},\n  \
-             \"interp_fallbacks\": {},\n  \"invalidations\": {}\n}}",
+            "  \"{prefix}kernel\": \"{}\",\n  \"{prefix}cycles\": {},\n  \"{prefix}instret\": {},\n  \
+             \"{prefix}reference_secs\": {:.6},\n  \"{prefix}replay_secs\": {:.6},\n  \
+             \"{prefix}reference_cycles_per_sec\": {:.0},\n  \
+             \"{prefix}replay_cycles_per_sec\": {:.0},\n  \"{prefix}speedup\": {:.2},\n  \
+             \"{prefix}block_cache_hit_rate\": {:.6},\n  \"{prefix}block_cache_misses\": {},\n  \
+             \"{prefix}blocks_translated\": {},\n  \"{prefix}interp_fallbacks\": {},\n  \
+             \"{prefix}invalidations\": {}",
             escape(&self.kernel),
             self.cycles,
             self.instret,
@@ -303,13 +310,35 @@ pub fn host_throughput_for(
     })
 }
 
-/// The `xpulpnn bench --host` measurement: the paper's Fig. 8 4-bit
-/// hardware-quantized layer.
-pub fn host_throughput(seed: u64) -> Result<HostThroughputRecord, Error> {
-    host_throughput_for(
-        ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true),
-        seed,
-    )
+/// The `xpulpnn bench --host` measurement (`BENCH_host_throughput.json`):
+/// the paper's Fig. 8 4-bit hardware-quantized layer on the XpulpNN
+/// SIMD backend and on the Xrvv vector backend at VLEN 128.
+#[derive(Debug, Clone)]
+pub struct HostThroughputReport {
+    /// The SIMD layer; its members keep the unprefixed keys.
+    pub simd: HostThroughputRecord,
+    /// The vector layer; its members carry a `vector_` key prefix.
+    pub vector: HostThroughputRecord,
+}
+
+impl HostThroughputReport {
+    /// Serializes both rows as one self-contained JSON object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\n{},\n{}\n}}",
+            self.simd.json_fields(""),
+            self.vector.json_fields("vector_")
+        )
+    }
+}
+
+/// Runs the `xpulpnn bench --host` measurement.
+pub fn host_throughput(seed: u64) -> Result<HostThroughputReport, Error> {
+    let paper = |isa| ConvKernelConfig::paper(BitWidth::W4, isa, true);
+    Ok(HostThroughputReport {
+        simd: host_throughput_for(paper(KernelIsa::XpulpNN), seed)?,
+        vector: host_throughput_for(paper(KernelIsa::vector(128)), seed)?,
+    })
 }
 
 /// The serving benchmark artifact (`BENCH_serving.json`): one seeded
@@ -531,6 +560,29 @@ mod tests {
             "\"block_cache_hit_rate\"",
             "\"replay_cycles_per_sec\"",
             "\"interp_fallbacks\"",
+        ] {
+            assert!(j.contains(key), "missing {key} in:\n{j}");
+        }
+    }
+
+    #[test]
+    fn host_throughput_report_adds_a_prefixed_vector_row() {
+        let mut vec_cfg = small_cfg();
+        vec_cfg.isa = KernelIsa::vector(128);
+        let r = HostThroughputReport {
+            simd: host_throughput_for(small_cfg(), 42).unwrap(),
+            vector: host_throughput_for(vec_cfg, 42).unwrap(),
+        };
+        assert_eq!(r.vector.interp_fallbacks, 0);
+        let j = r.to_json();
+        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
+        // CI's 2x floor greps the one unprefixed `"speedup"` key.
+        assert_eq!(j.matches("\"speedup\"").count(), 1, "{j}");
+        for key in [
+            "\"vector_kernel\"",
+            "\"vector_reference_cycles_per_sec\"",
+            "\"vector_replay_cycles_per_sec\"",
+            "\"vector_speedup\"",
         ] {
             assert!(j.contains(key), "missing {key} in:\n{j}");
         }

@@ -523,6 +523,25 @@ mod tests {
         assert_eq!(reference_run(&tb).report, r.report);
     }
 
+    /// The Fig. 8 4-bit layer on the Xrvv backend (EXPERIMENTS.md
+    /// three-way table): pinned at VLEN 128 and 256, bit-exact between
+    /// burst block replay and reference steps, golden-matched, ledger
+    /// balanced.
+    #[test]
+    fn block_replay_pins_fig8_vector_cycle_count() {
+        for (vlen, cycles) in [(128, 1_387_556), (256, 1_092_644)] {
+            let cfg = ConvKernelConfig::paper(BitWidth::W4, KernelIsa::vector(vlen), true);
+            let tb = ConvTestbench::new(cfg, 42).unwrap();
+            let r = tb.run().unwrap();
+            assert!(r.matches(), "VLEN {vlen}");
+            assert_eq!(r.report.perf.cycles, cycles, "VLEN {vlen}");
+            assert_eq!(r.report.perf.ledger.total(), r.report.perf.cycles);
+            let reference = reference_run(&tb);
+            assert_eq!(reference.report, r.report, "VLEN {vlen}");
+            assert_eq!(reference.output, r.output, "VLEN {vlen}");
+        }
+    }
+
     #[test]
     fn trace_tail_rerun_never_perturbs_caller_observed_counters() {
         // The auto-dump re-run (`trace_tail`) must stage a *fresh* SoC:

@@ -255,26 +255,14 @@ impl VecUnit {
         (self.vl * self.sew.bits()).div_ceil(8)
     }
 
-    #[inline]
-    fn elem_bit_range(&self, i: u32) -> (usize, u32) {
-        ((i * self.sew.bits()) as usize, self.sew.bits())
-    }
-
     /// Element `i` of register `v`, zero-extended.
     ///
     /// # Panics
     ///
     /// Panics if the element's bits fall outside the register.
     pub fn elem_u(&self, v: usize, i: u32) -> u32 {
-        let (off, width) = self.elem_bit_range(i);
-        assert!(off + width as usize <= self.vlen_bits as usize);
-        let bytes = &self.vregs[v];
-        let mut out = 0u32;
-        for b in 0..width as usize {
-            let bit = off + b;
-            out |= u32::from((bytes[bit / 8] >> (bit % 8)) & 1) << b;
-        }
-        out
+        assert!((i + 1) * self.sew.bits() <= self.vlen_bits);
+        get_elem(&self.vregs[v], self.sew, i)
     }
 
     /// Element `i` of register `v`, sign-extended.
@@ -289,18 +277,8 @@ impl VecUnit {
     }
 
     fn set_elem(&mut self, v: usize, i: u32, value: u32) {
-        let (off, width) = self.elem_bit_range(i);
-        debug_assert!(off + width as usize <= self.vlen_bits as usize);
-        let bytes = &mut self.vregs[v];
-        for b in 0..width as usize {
-            let bit = off + b;
-            let mask = 1u8 << (bit % 8);
-            if (value >> b) & 1 == 1 {
-                bytes[bit / 8] |= mask;
-            } else {
-                bytes[bit / 8] &= !mask;
-            }
-        }
+        debug_assert!((i + 1) * self.sew.bits() <= self.vlen_bits);
+        put_elem(&mut self.vregs[v], self.sew, i, value);
     }
 
     /// `vle.v vd, (base)`: unit-stride load of the active bytes, tail
@@ -431,18 +409,34 @@ impl VecUnit {
     ///
     /// Cost: 1 + ⌈vl·SEW / 128⌉ over the 128-bit MAC datapath.
     pub fn dot(&self, sign: DotSign, vs1: usize, vs2: usize) -> (u32, VecCost) {
-        let mut acc = 0u32;
-        for i in 0..self.vl {
-            let a = match sign {
-                DotSign::UnsignedUnsigned | DotSign::UnsignedSigned => self.elem_u(vs1, i),
-                DotSign::SignedSigned => self.elem_s(vs1, i) as u32,
-            };
-            let b = match sign {
-                DotSign::UnsignedUnsigned => self.elem_u(vs2, i),
-                DotSign::UnsignedSigned | DotSign::SignedSigned => self.elem_s(vs2, i) as u32,
-            };
-            acc = acc.wrapping_add(a.wrapping_mul(b));
-        }
+        let (a, b) = (&self.vregs[vs1], &self.vregs[vs2]);
+        let (sa, sb) = match sign {
+            DotSign::UnsignedUnsigned => (false, false),
+            DotSign::UnsignedSigned => (false, true),
+            DotSign::SignedSigned => (true, true),
+        };
+        let vl = self.vl as usize;
+        let acc = match self.sew {
+            VecSew::E2 => dot_packed::<2>(a, b, vl, sa, sb),
+            VecSew::E4 => dot_packed::<4>(a, b, vl, sa, sb),
+            VecSew::E8 => dot_packed::<8>(a, b, vl, sa, sb),
+            VecSew::E16 => {
+                let lane = |p: &[u8], signed: bool| {
+                    let h = u16::from_le_bytes([p[0], p[1]]);
+                    if signed {
+                        i32::from(h as i16) as u32
+                    } else {
+                        u32::from(h)
+                    }
+                };
+                a[..2 * vl]
+                    .chunks_exact(2)
+                    .zip(b[..2 * vl].chunks_exact(2))
+                    .fold(0u32, |acc, (x, y)| {
+                        acc.wrapping_add(lane(x, sa).wrapping_mul(lane(y, sb)))
+                    })
+            }
+        };
         let bits = u64::from(self.vl) * u64::from(self.sew.bits());
         let cost = VecCost {
             cycles: 1 + bits.div_ceil(128),
@@ -505,13 +499,9 @@ impl VecUnit {
         // Results land packed at the *output* width from bit 0 — the
         // register is reconfigured below SEW, like a narrowing op.
         self.vregs[vd] = [0; MAX_VLEN_BYTES];
+        let out_sew = if q_bits == 4 { VecSew::E4 } else { VecSew::E2 };
         for (i, q) in results.iter().enumerate().take(vl as usize) {
-            let off = i * q_bits as usize;
-            for b in 0..q_bits as usize {
-                if (q >> b) & 1 == 1 {
-                    self.vregs[vd][(off + b) / 8] |= 1 << ((off + b) % 8);
-                }
-            }
+            put_elem(&mut self.vregs[vd], out_sew, i as u32, u32::from(*q));
         }
         Ok(VecCost {
             cycles: 1 + u64::from(vl) * u64::from(q_bits) + stalls,
@@ -524,18 +514,15 @@ impl VecUnit {
     /// `vl − 1` elements, `vd[vl−1] = x` truncated to SEW, tail
     /// zeroed. Single cycle.
     pub fn slide1down(&mut self, vd: usize, vs2: usize, x: u32) -> VecCost {
-        let vl = self.vl;
-        let mut tmp = [0u32; MAX_VLEN_BITS as usize / 2];
-        for (i, slot) in tmp.iter_mut().enumerate().take(vl as usize) {
-            *slot = if (i as u32) + 1 < vl {
-                self.elem_u(vs2, i as u32 + 1)
-            } else {
-                x
-            };
+        let (vl, sew) = (self.vl, self.sew);
+        let src = self.vregs[vs2];
+        let dst = &mut self.vregs[vd];
+        *dst = [0; MAX_VLEN_BYTES];
+        for i in 1..vl {
+            put_elem(dst, sew, i - 1, get_elem(&src, sew, i));
         }
-        self.vregs[vd] = [0; MAX_VLEN_BYTES];
-        for (i, v) in tmp.iter().enumerate().take(vl as usize) {
-            self.set_elem(vd, i as u32, *v);
+        if vl > 0 {
+            put_elem(dst, sew, vl - 1, x);
         }
         VecCost {
             cycles: 1,
@@ -573,6 +560,72 @@ impl VecUnit {
                 fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
             }
         }
+    }
+}
+
+/// Element `i` of a register image at `sew`, zero-extended: one
+/// shift and mask on the containing byte (sub-byte elements never
+/// straddle a byte), or two bytes at e16.
+#[inline]
+fn get_elem(bytes: &[u8; MAX_VLEN_BYTES], sew: VecSew, i: u32) -> u32 {
+    let i = i as usize;
+    match sew {
+        VecSew::E16 => u32::from(u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]])),
+        _ => {
+            let bits = sew.bits() as usize;
+            let off = i * bits;
+            u32::from(bytes[off / 8] >> (off % 8)) & ((1 << bits) - 1)
+        }
+    }
+}
+
+/// Writes the low SEW bits of `value` as element `i` of a register
+/// image, leaving the other elements' bits untouched.
+#[inline]
+fn put_elem(bytes: &mut [u8; MAX_VLEN_BYTES], sew: VecSew, i: u32, value: u32) {
+    let i = i as usize;
+    match sew {
+        VecSew::E16 => bytes[2 * i..2 * i + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+        _ => {
+            let bits = sew.bits() as usize;
+            let off = i * bits;
+            let shift = off % 8;
+            let mask = (((1u32 << bits) - 1) << shift) as u8;
+            let b = &mut bytes[off / 8];
+            *b = (*b & !mask) | (((value << shift) as u8) & mask);
+        }
+    }
+}
+
+/// Σ `a[i]·b[i]` over the first `vl` BITS-wide elements (BITS ∈ {2,
+/// 4, 8}) packed in `a` and `b`, wrapping mod 2³². Decodes whole
+/// bytes — `8 / BITS` lanes each — then the partial byte an odd `vl`
+/// leaves. `sa`/`sb` sign-extend the lanes of `a`/`b`.
+#[inline]
+fn dot_packed<const BITS: u32>(a: &[u8], b: &[u8], vl: usize, sa: bool, sb: bool) -> u32 {
+    let lanes = (8 / BITS) as usize;
+    // Lane `k` of `byte`: shift it to the top, then back down with a
+    // logical or arithmetic shift.
+    let lane = |byte: u8, k: usize, signed: bool| {
+        let top = byte << (8 - BITS as usize - k * BITS as usize);
+        if signed {
+            i32::from((top as i8) >> (8 - BITS)) as u32
+        } else {
+            u32::from(top >> (8 - BITS))
+        }
+    };
+    let byte_dot = |x: u8, y: u8, n: usize| {
+        (0..n).fold(0u32, |acc, k| {
+            acc.wrapping_add(lane(x, k, sa).wrapping_mul(lane(y, k, sb)))
+        })
+    };
+    let full = vl / lanes;
+    let acc = a[..full].iter().zip(&b[..full]).fold(0u32, |acc, (x, y)| {
+        acc.wrapping_add(byte_dot(*x, *y, lanes))
+    });
+    match vl % lanes {
+        0 => acc,
+        tail => acc.wrapping_add(byte_dot(a[full], b[full], tail)),
     }
 }
 
@@ -947,6 +1000,222 @@ mod tests {
         let mut ha2 = 0xcbf2_9ce4_8422_2325u64;
         a.fold_fnv(&mut ha2);
         assert_ne!(ha2, hb2);
+    }
+
+    /// Bit-serial element paths: one bit per step, no knowledge of
+    /// byte boundaries. The oracle of
+    /// `byte_parallel_unit_matches_bit_serial_reference`.
+    mod bit_serial {
+        use super::*;
+
+        pub fn get(bytes: &[u8], bits: u32, i: u32) -> u32 {
+            (0..bits).fold(0, |out, b| {
+                let bit = (i * bits + b) as usize;
+                out | u32::from((bytes[bit / 8] >> (bit % 8)) & 1) << b
+            })
+        }
+
+        pub fn get_s(bytes: &[u8], bits: u32, i: u32) -> i32 {
+            let shift = 32 - bits;
+            ((get(bytes, bits, i) << shift) as i32) >> shift
+        }
+
+        pub fn put(bytes: &mut [u8], bits: u32, i: u32, value: u32) {
+            for b in 0..bits {
+                let bit = (i * bits + b) as usize;
+                let mask = 1u8 << (bit % 8);
+                if (value >> b) & 1 == 1 {
+                    bytes[bit / 8] |= mask;
+                } else {
+                    bytes[bit / 8] &= !mask;
+                }
+            }
+        }
+
+        pub fn dot(a: &[u8], b: &[u8], bits: u32, sign: DotSign, vl: u32) -> u32 {
+            (0..vl).fold(0u32, |acc, i| {
+                let x = match sign {
+                    DotSign::SignedSigned => get_s(a, bits, i) as u32,
+                    _ => get(a, bits, i),
+                };
+                let y = match sign {
+                    DotSign::UnsignedUnsigned => get(b, bits, i),
+                    _ => get_s(b, bits, i) as u32,
+                };
+                acc.wrapping_add(x.wrapping_mul(y))
+            })
+        }
+    }
+
+    /// Fills the `VLEN/8` live bytes of registers `0..8` with seeded
+    /// noise; the bytes above `VLEN` stay zero, as the unit keeps them.
+    fn seed_vregs(u: &mut VecUnit, rng: &mut xrand::Rng) {
+        let live = (u.vlen_bits() / 8) as usize;
+        for reg in &mut u.vregs[..8] {
+            for b in &mut reg[..live] {
+                *b = rng.next_u32() as u8;
+            }
+        }
+    }
+
+    #[test]
+    fn byte_parallel_unit_matches_bit_serial_reference() {
+        let mut rng = xrand::Rng::new(0x5eed_0013);
+        let signs = [
+            DotSign::UnsignedUnsigned,
+            DotSign::UnsignedSigned,
+            DotSign::SignedSigned,
+        ];
+        for vlen in [32u32, 64, 128, 256] {
+            for sew in ALL_SEWS {
+                let bits = sew.bits();
+                for vl in 0..=vlen / bits {
+                    let ctx = format!("VLEN {vlen} {sew} vl {vl}");
+                    let mut u = VecUnit::new(vlen);
+                    seed_vregs(&mut u, &mut rng);
+                    assert_eq!(u.vsetvli(Some(vl), sew), vl);
+
+                    // Element reads over the whole register, tail too.
+                    for i in 0..u.vlmax(sew) {
+                        let reg = u.vreg_bytes(1);
+                        assert_eq!(
+                            u.elem_u(1, i),
+                            bit_serial::get(reg, bits, i),
+                            "{ctx} u[{i}]"
+                        );
+                        assert_eq!(
+                            u.elem_s(1, i),
+                            bit_serial::get_s(reg, bits, i),
+                            "{ctx} s[{i}]"
+                        );
+                    }
+                    assert_eq!(
+                        u.mv_x_s(2).0,
+                        bit_serial::get_s(u.vreg_bytes(2), bits, 0) as u32
+                    );
+
+                    // Element writes touch only their own bits.
+                    let i = rng.below(u64::from(u.vlmax(sew))) as u32;
+                    let value = rng.next_u32();
+                    let mut want = *u.vreg_bytes(3);
+                    bit_serial::put(&mut want, bits, i, value);
+                    u.set_elem(3, i, value);
+                    assert_eq!(u.vreg_bytes(3), &want, "{ctx} set_elem {i}");
+
+                    for sign in signs {
+                        let want =
+                            bit_serial::dot(u.vreg_bytes(4), u.vreg_bytes(5), bits, sign, vl);
+                        let (got, cost) = u.dot(sign, 4, 5);
+                        assert_eq!(got, want, "{ctx} {sign:?}");
+                        assert_eq!(cost.cycles, 1 + u64::from(vl * bits).div_ceil(128), "{ctx}");
+                    }
+
+                    // vslide1down, to a fresh register and in place.
+                    for (vd, vs2) in [(6, 0), (7, 7)] {
+                        let x = rng.next_u32();
+                        let src = *u.vreg_bytes(vs2);
+                        let mut want = [0u8; MAX_VLEN_BYTES];
+                        for i in 0..vl {
+                            let v = if i + 1 < vl {
+                                bit_serial::get(&src, bits, i + 1)
+                            } else {
+                                x
+                            };
+                            bit_serial::put(&mut want, bits, i, v);
+                        }
+                        u.slide1down(vd, vs2, x);
+                        assert_eq!(u.vreg_bytes(vd), &want, "{ctx} slide v{vd} <- v{vs2}");
+                    }
+
+                    check_strided_round_trip(&mut u, &mut rng, &ctx);
+                    check_qnt_packing(&mut u, &mut rng, &ctx);
+                }
+            }
+        }
+    }
+
+    /// `vlse` from seeded memory, `vsse` into zeroed memory at the same
+    /// addresses, `vlse` back: each step checked against bit-serial
+    /// element packing and little-endian beats.
+    fn check_strided_round_trip(u: &mut VecUnit, rng: &mut xrand::Rng, ctx: &str) {
+        let (sew, vl) = (u.sew(), u.vl());
+        let mut src = VecTestMem::new(0x40, 2048);
+        for b in src.as_bytes_mut() {
+            *b = rng.next_u32() as u8;
+        }
+        let mut dst = VecTestMem::new(0x40, 2048);
+        if !sew.is_byte_multiple() {
+            assert_eq!(
+                u.load_strided(&mut src, 1, 0x40, 2),
+                Err(VecError::IllegalStride(sew))
+            );
+            assert_eq!(
+                u.store_strided(&mut dst, 1, 0x40, 2),
+                Err(VecError::IllegalStride(sew))
+            );
+            return;
+        }
+        let (bits, eb) = (sew.bits(), sew.bits() / 8);
+        let base = 0x40 + rng.below(8) as u32;
+        let stride = 1 + rng.below(7) as u32;
+        let addr = |i: u32| base + i * stride;
+        u.load_strided(&mut src, 1, base, stride).unwrap();
+        let mut want = [0u8; MAX_VLEN_BYTES];
+        for i in 0..vl {
+            bit_serial::put(&mut want, bits, i, src.read(addr(i), eb).unwrap());
+        }
+        assert_eq!(u.vreg_bytes(1), &want, "{ctx} vlse");
+
+        u.store_strided(&mut dst, 1, base, stride).unwrap();
+        let mut want_mem = VecTestMem::new(0x40, 2048);
+        for i in 0..vl {
+            want_mem
+                .write(addr(i), eb, bit_serial::get(&want, bits, i))
+                .unwrap();
+        }
+        assert_eq!(dst.as_bytes(), want_mem.as_bytes(), "{ctx} vsse");
+
+        // Overlapping strides (e16, stride 1) clobber earlier beats, so
+        // the reload is compared against what memory now holds.
+        u.load_strided(&mut dst, 2, base, stride).unwrap();
+        let mut want = [0u8; MAX_VLEN_BYTES];
+        for i in 0..vl {
+            bit_serial::put(&mut want, bits, i, want_mem.read(addr(i), eb).unwrap());
+        }
+        assert_eq!(u.vreg_bytes(2), &want, "{ctx} vlse after vsse");
+    }
+
+    /// `vqnt` over seeded (unsorted) trees: the walk is re-done here and
+    /// the results packed bit-serially at the output width.
+    fn check_qnt_packing(u: &mut VecUnit, rng: &mut xrand::Rng, ctx: &str) {
+        let mut mem = VecTestMem::new(0, 4096);
+        for b in mem.as_bytes_mut() {
+            *b = rng.next_u32() as u8;
+        }
+        for fmt in [SimdFmt::Nibble, SimdFmt::Crumb] {
+            if u.sew() != VecSew::E16 {
+                assert_eq!(
+                    u.qnt(&mut mem, fmt, 3, 0, 1),
+                    Err(VecError::QntSew(u.sew()))
+                );
+                continue;
+            }
+            let q_bits = fmt.bits();
+            let mut want = [0u8; MAX_VLEN_BYTES];
+            for i in 0..u.vl() {
+                let x = u.elem_s(1, i) as i16;
+                let base = i * tree_stride(fmt);
+                let mut k = 1u32;
+                for _ in 0..q_bits {
+                    let t = mem.read(base + (k - 1) * 2, 2).unwrap() as u16 as i16;
+                    k = 2 * k + u32::from(x > t);
+                }
+                bit_serial::put(&mut want, q_bits, i, k - (1 << q_bits));
+            }
+            let cost = u.qnt(&mut mem, fmt, 3, 0, 1).unwrap();
+            assert_eq!(u.vreg_bytes(3), &want, "{ctx} vqnt {fmt:?}");
+            assert_eq!(cost.fetches, u.vl() * q_bits, "{ctx}");
+        }
     }
 
     #[test]
