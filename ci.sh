@@ -115,6 +115,27 @@ echo "$faults_out" | grep -F "totals: detected=0 masked=13 sdc=3" > /dev/null ||
     exit 1
 }
 
+# The seed-1 smoke detects nothing, so it never takes the trap path:
+# a run that traps is re-run from its initial state with the tracer
+# attached for its diagnostics. Seed 42 detects 12 traps; its totals
+# are pinned, and one detected trial's replay must carry the re-run's
+# trace tail (whole-run retire count) and hot PCs.
+echo "==> fault-campaign trap path (8 variants x 25 trials, seed 42)"
+faults42_out=$(cargo run --release -q --locked -p xpulpnn-cli -- faults --seed 42 --trials 25)
+echo "$faults42_out" | grep -F "totals: detected=12 masked=152 sdc=36" > /dev/null || {
+    echo "seed-42 fault campaign totals drifted:"
+    echo "$faults42_out"
+    exit 1
+}
+trap_out=$(cargo run --release -q --locked -p xpulpnn-cli -- faults --seed 42 --replay 0:12)
+for line in "class: detected" "last 64 of 5471 retired instructions" "hot PCs:"; do
+    echo "$trap_out" | grep -F "$line" > /dev/null || {
+        echo "detected-trial replay lacks: $line"
+        echo "$trap_out"
+        exit 1
+    }
+done
+
 # Cluster acceptance: the full kernel matrix stays bit-exact on every
 # cluster size, simulated cycles are invariant under host scheduling,
 # the merge's dynamic conflict counters stay pinned at zero on every

@@ -52,7 +52,8 @@ usage:
       decoded-block replay (verified bit-exact), and
       BENCH_host_throughput.json records simulated cycles/second for
       both, the speedup and the block-cache hit rate (vector keys carry
-      a vector_ prefix)
+      a vector_ prefix), plus the SIMD layer through the fault-armed
+      driver (armed_ keys) and under a 64-entry tracer (traced_ keys)
   xpulpnn lint [<file.s>] [--races [--cores N]]
       statically verify a program: CFG + hardware-loop legality,
       dataflow (uninitialized reads, dead stores, reserved-register
@@ -630,6 +631,16 @@ fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
             out,
             "block cache     : {:.4} hit rate, {} blocks translated, {} reference fallbacks, {} invalidations",
             r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
+        );
+    }
+    for (label, row) in [("fault-armed", &report.armed), ("traced", &report.traced)] {
+        let _ = writeln!(
+            out,
+            "{label:<16}: {:.3}s  ({:.2} Mcycles/s, {:.2}x block replay time) on {}",
+            row.secs,
+            row.cps() / 1e6,
+            row.slowdown(&report.simd),
+            report.simd.kernel
         );
     }
     let _ = writeln!(out, "wrote {}", path.display());

@@ -310,24 +310,133 @@ pub fn host_throughput_for(
     })
 }
 
+/// One more timed run of a [`HostThroughputRecord`]'s layer under
+/// another driver, verified against the golden model and bit-exact in
+/// cycles and instructions with the record's runs.
+#[derive(Debug, Clone)]
+pub struct HostRunRow {
+    /// Simulated cycles of the layer.
+    pub cycles: u64,
+    /// Wall-clock seconds of the run.
+    pub secs: f64,
+}
+
+impl HostRunRow {
+    /// Simulated cycles per wall-clock second.
+    pub fn cps(&self) -> f64 {
+        self.cycles as f64 / self.secs.max(1e-9)
+    }
+
+    /// Wall-clock ratio of this run to the block-replay run of `replay`.
+    pub fn slowdown(&self, replay: &HostThroughputRecord) -> f64 {
+        self.secs / replay.replay_secs.max(1e-9)
+    }
+
+    /// The row's JSON members, keys prefixed with `prefix`.
+    fn json_fields(&self, prefix: &str, replay: &HostThroughputRecord) -> String {
+        format!(
+            "  \"{prefix}secs\": {:.6},\n  \"{prefix}cycles_per_sec\": {:.0},\n  \
+             \"{prefix}slowdown\": {:.2}",
+            self.secs,
+            self.cps(),
+            self.slowdown(replay),
+        )
+    }
+}
+
+/// Times one run of `tb` driven by `drive` (given the staged SoC and
+/// the layer's cycle budget) and checks it against `replay`.
+fn timed_row(
+    tb: &ConvTestbench,
+    replay: &HostThroughputRecord,
+    drive: impl FnOnce(&mut pulp_soc::Soc, u64) -> Result<pulp_soc::RunReport, riscv_core::Trap>,
+) -> Result<HostRunRow, Error> {
+    let mut soc = tb.stage();
+    let t0 = Instant::now();
+    let report = drive(&mut soc, tb.cycle_budget()).map_err(Error::Trap)?;
+    let secs = t0.elapsed().as_secs_f64();
+    let run = tb.collect(&soc, report);
+    if !run.matches() {
+        return Err(Error::Mismatch {
+            config: tb.cfg.name(),
+        });
+    }
+    assert_eq!(
+        (run.report.perf.cycles, run.report.perf.instret),
+        (replay.cycles, replay.instret),
+        "every driver must be bit-exact with block replay"
+    );
+    Ok(HostRunRow {
+        cycles: replay.cycles,
+        secs,
+    })
+}
+
 /// The `xpulpnn bench --host` measurement (`BENCH_host_throughput.json`):
 /// the paper's Fig. 8 4-bit hardware-quantized layer on the XpulpNN
-/// SIMD backend and on the Xrvv vector backend at VLEN 128.
+/// SIMD backend and on the Xrvv vector backend at VLEN 128, plus the
+/// SIMD layer through the fault-armed driver and under the tracer.
 #[derive(Debug, Clone)]
 pub struct HostThroughputReport {
     /// The SIMD layer; its members keep the unprefixed keys.
     pub simd: HostThroughputRecord,
     /// The vector layer; its members carry a `vector_` key prefix.
     pub vector: HostThroughputRecord,
+    /// The SIMD layer through `faultsim::run_armed` with an empty plan
+    /// and a 64-entry trace depth, as `Network::run` drives a clean
+    /// layer (`armed_` keys).
+    pub armed: HostRunRow,
+    /// The SIMD layer by `Core::run` with a 64-entry tracer attached
+    /// (`traced_` keys).
+    pub traced: HostRunRow,
 }
 
 impl HostThroughputReport {
-    /// Serializes both rows as one self-contained JSON object.
+    /// Measures `simd` and `vector` as [`host_throughput_for`] does and
+    /// adds the armed and traced rows of `simd`.
+    pub(crate) fn measure(
+        simd: ConvKernelConfig,
+        vector: ConvKernelConfig,
+        seed: u64,
+    ) -> Result<HostThroughputReport, Error> {
+        let simd_row = host_throughput_for(simd, seed)?;
+        let vector = host_throughput_for(vector, seed)?;
+        let tb = ConvTestbench::new(simd, seed).map_err(|e| Error::Build(e.to_string()))?;
+        let armed = timed_row(&tb, &simd_row, |soc, budget| {
+            let run = faultsim::run_armed(
+                soc,
+                &faultsim::FaultPlan::none(),
+                &faultsim::ArmConfig {
+                    budget,
+                    checkpoint_interval: budget,
+                    trace_depth: 64,
+                },
+            );
+            run.exit.map(|exit| pulp_soc::RunReport {
+                exit,
+                perf: run.perf,
+            })
+        })?;
+        let traced = timed_row(&tb, &simd_row, |soc, budget| {
+            soc.core.attach_tracer(64);
+            soc.run(budget)
+        })?;
+        Ok(HostThroughputReport {
+            simd: simd_row,
+            vector,
+            armed,
+            traced,
+        })
+    }
+
+    /// Serializes every row as one self-contained JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n{},\n{}\n}}",
+            "{{\n{},\n{},\n{},\n{}\n}}",
             self.simd.json_fields(""),
-            self.vector.json_fields("vector_")
+            self.vector.json_fields("vector_"),
+            self.armed.json_fields("armed_", &self.simd),
+            self.traced.json_fields("traced_", &self.simd)
         )
     }
 }
@@ -335,10 +444,11 @@ impl HostThroughputReport {
 /// Runs the `xpulpnn bench --host` measurement.
 pub fn host_throughput(seed: u64) -> Result<HostThroughputReport, Error> {
     let paper = |isa| ConvKernelConfig::paper(BitWidth::W4, isa, true);
-    Ok(HostThroughputReport {
-        simd: host_throughput_for(paper(KernelIsa::XpulpNN), seed)?,
-        vector: host_throughput_for(paper(KernelIsa::vector(128)), seed)?,
-    })
+    HostThroughputReport::measure(
+        paper(KernelIsa::XpulpNN),
+        paper(KernelIsa::vector(128)),
+        seed,
+    )
 }
 
 /// The serving benchmark artifact (`BENCH_serving.json`): one seeded
@@ -569,11 +679,12 @@ mod tests {
     fn host_throughput_report_adds_a_prefixed_vector_row() {
         let mut vec_cfg = small_cfg();
         vec_cfg.isa = KernelIsa::vector(128);
-        let r = HostThroughputReport {
-            simd: host_throughput_for(small_cfg(), 42).unwrap(),
-            vector: host_throughput_for(vec_cfg, 42).unwrap(),
-        };
+        let r = HostThroughputReport::measure(small_cfg(), vec_cfg, 42).unwrap();
         assert_eq!(r.vector.interp_fallbacks, 0);
+        for row in [&r.armed, &r.traced] {
+            assert_eq!(row.cycles, r.simd.cycles);
+            assert!(row.secs > 0.0);
+        }
         let j = r.to_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
         // CI's 2x floor greps the one unprefixed `"speedup"` key.
@@ -583,6 +694,10 @@ mod tests {
             "\"vector_reference_cycles_per_sec\"",
             "\"vector_replay_cycles_per_sec\"",
             "\"vector_speedup\"",
+            "\"armed_cycles_per_sec\"",
+            "\"armed_slowdown\"",
+            "\"traced_cycles_per_sec\"",
+            "\"traced_slowdown\"",
         ] {
             assert!(j.contains(key), "missing {key} in:\n{j}");
         }

@@ -1,13 +1,21 @@
 //! The armed execution driver: checkpoints, injects, and classifies.
 //!
 //! Fault injection is deliberately *external* to the core: the driver
-//! re-implements the [`Soc::run`] step loop and applies due flips
-//! between `step()` calls, directly on the architectural state
-//! (`core.regs`) or through the host-side memory API (which bypasses
-//! the bus and so never perturbs the perf counters). The core itself
-//! carries **no hooks at all**, so a disarmed run is the unmodified hot
-//! path by construction — the `disarmed_runs_cost_nothing` test pins
-//! the Fig. 8 benchmark layer to its exact pre-faultsim cycle count.
+//! runs the core in bursts of [`Core::run`] between scheduling points
+//! (the next flip, the next checkpoint, the watchdog) and applies due
+//! flips at those retire boundaries, directly on the architectural
+//! state (`core.regs`) or through the host-side memory API (which
+//! bypasses the bus and so never perturbs the perf counters). The core
+//! itself carries **no hooks at all**, so a disarmed run is the
+//! unmodified hot path by construction — the `disarmed_runs_cost_nothing`
+//! test pins the Fig. 8 benchmark layer to its exact pre-faultsim cycle
+//! count.
+//!
+//! The armed run is never traced. When it traps and diagnostics are
+//! asked for ([`ArmConfig::trace_depth`]), the driver restores the
+//! run's initial state, attaches the tracer and drives the same plan
+//! again; the deterministic re-run retires the same instructions, so
+//! its trace tail and hot PCs are the trapped run's.
 //!
 //! The driver also keeps a rolling checkpoint ([`Soc::snapshot`]) up to
 //! the first injection. Under the transient (soft-error) fault model,
@@ -16,9 +24,8 @@
 //! retry path and the campaign replay build on.
 
 use crate::plan::{FaultEvent, FaultPlan, FaultTarget};
-use pulp_isa::Reg;
 use pulp_soc::{Soc, SocMem, SocSnapshot};
-use riscv_core::{Core, ExitStatus, PerfCounters, Trap};
+use riscv_core::{Core, ExecTracer, ExitStatus, PerfCounters, Trap};
 use std::fmt;
 
 /// Knobs of one armed run.
@@ -28,7 +35,9 @@ pub struct ArmConfig {
     pub budget: u64,
     /// Cycles between rolling pre-fault checkpoints.
     pub checkpoint_interval: u64,
-    /// Execution-tracer ring size; 0 disables tracing.
+    /// Execution-tracer ring size of the diagnostics on a trap; 0
+    /// disables them. The armed run itself is never traced: a run that
+    /// traps is re-run from its initial state with the tracer attached.
     pub trace_depth: usize,
 }
 
@@ -84,10 +93,10 @@ pub struct ArmedRun {
     pub pre_fault: SocSnapshot,
     /// Checkpoints taken (including the initial one).
     pub checkpoints: u64,
-    /// Last retired instructions, dumped when the run trapped and a
-    /// tracer was attached; empty otherwise.
+    /// Last retired instructions of a run that trapped with
+    /// `trace_depth > 0`, from its traced re-run; empty otherwise.
     pub trace_tail: String,
-    /// Hottest PCs of the traced window on a trap; empty otherwise.
+    /// Hottest PCs of that traced re-run; empty otherwise.
     pub hot_pcs: String,
 }
 
@@ -161,73 +170,41 @@ fn apply(soc: &mut Soc, event: &FaultEvent) -> InjectionRecord {
 ///
 /// Semantics match [`Soc::run`] exactly when the plan is empty; with
 /// events, each flip is applied at the first instruction boundary where
-/// the cycle counter has reached its scheduled cycle.
+/// the cycle counter has reached its scheduled cycle. A run that traps
+/// with `cfg.trace_depth > 0` is re-run from its initial state with the
+/// tracer attached, for [`ArmedRun::trace_tail`] and
+/// [`ArmedRun::hot_pcs`]; `soc` ends in the same state either way.
 pub fn run_armed(soc: &mut Soc, plan: &FaultPlan, cfg: &ArmConfig) -> ArmedRun {
     let before = soc.core.perf;
     if cfg.trace_depth > 0 {
-        soc.core.attach_tracer(cfg.trace_depth);
+        // The diagnostics replace any tracer the caller attached.
+        soc.core.take_tracer();
     }
     let mut pre_fault = soc.snapshot();
+    // The run's initial state, kept for the diagnostic re-run once a
+    // later checkpoint replaces it as `pre_fault`.
+    let mut initial: Option<SocSnapshot> = None;
     let mut checkpoints = 1u64;
-    let mut next_ckpt = soc
-        .core
-        .perf
-        .cycles
-        .saturating_add(cfg.checkpoint_interval.max(1));
-    let mut injections: Vec<InjectionRecord> = Vec::new();
-    let mut pending = plan.events.iter().peekable();
-    let limit = soc.core.perf.cycles.saturating_add(cfg.budget);
+    let (exit, injections) = drive(soc, plan, cfg, |soc| {
+        let older = std::mem::replace(&mut pre_fault, soc.snapshot());
+        if cfg.trace_depth > 0 && initial.is_none() {
+            initial = Some(older);
+        }
+        checkpoints += 1;
+    });
 
-    let exit = loop {
-        while let Some(ev) = pending.peek() {
-            if soc.core.perf.cycles >= ev.cycle {
-                let ev = **ev;
-                pending.next();
-                injections.push(apply(soc, &ev));
-            } else {
-                break;
-            }
-        }
-        if injections.is_empty() && soc.core.perf.cycles >= next_ckpt {
-            pre_fault = soc.snapshot();
-            checkpoints += 1;
-            next_ckpt = next_ckpt.saturating_add(cfg.checkpoint_interval.max(1));
-        }
-        if soc.core.perf.cycles >= limit {
-            break Err(Trap::Watchdog {
-                pc: soc.core.pc,
-                budget: cfg.budget,
-            });
-        }
-        match soc.core.step(&mut soc.mem) {
-            Ok(true) => {
-                break Ok(ExitStatus {
-                    halted: true,
-                    exit_code: soc.core.reg(Reg::A0),
-                    pc: soc.core.pc,
-                })
-            }
-            Ok(false) => {}
-            Err(t) => break Err(t),
-        }
-    };
-
-    let (trace_tail, hot_pcs) = match (&exit, soc.core.take_tracer()) {
-        (Err(_), Some(t)) => {
-            let hot = t
-                .hotspots(5)
-                .iter()
-                .map(|h| {
-                    format!(
-                        "  {:#010x}  {:>8} cycles  {:>6}x  {}",
-                        h.pc, h.cycles, h.count, h.instr
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            (t.dump_tail(), hot)
-        }
-        _ => (String::new(), String::new()),
+    let (trace_tail, hot_pcs) = if exit.is_err() && cfg.trace_depth > 0 {
+        soc.restore(initial.as_ref().unwrap_or(&pre_fault));
+        soc.core.attach_tracer(cfg.trace_depth);
+        let (rerun, _) = drive(soc, plan, cfg, |_| {});
+        debug_assert_eq!(rerun, exit, "the diagnostic re-run is deterministic");
+        diagnostics(
+            &soc.core
+                .take_tracer()
+                .expect("tracer attached for the re-run"),
+        )
+    } else {
+        (String::new(), String::new())
     };
     ArmedRun {
         exit,
@@ -240,13 +217,245 @@ pub fn run_armed(soc: &mut Soc, plan: &FaultPlan, cfg: &ArmConfig) -> ArmedRun {
     }
 }
 
+/// The trace tail and the five hottest PCs of a traced run.
+fn diagnostics(t: &ExecTracer) -> (String, String) {
+    let hot = t
+        .hotspots(5)
+        .iter()
+        .map(|h| {
+            format!(
+                "  {:#010x}  {:>8} cycles  {:>6}x  {}",
+                h.pc, h.cycles, h.count, h.instr
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    (t.dump_tail(), hot)
+}
+
+/// Drives `soc` under `plan` until it halts or traps (the watchdog
+/// included), calling `checkpoint` at every checkpoint boundary before
+/// the first injection.
+///
+/// Between scheduling points the core runs one [`Core::run`] burst
+/// whose budget ends at the next of: the next pending flip, the next
+/// checkpoint and the watchdog limit. `Core::run` stops at the first
+/// retire boundary where the cycle counter reaches that stop, so flips,
+/// checkpoints and the watchdog land on exactly the boundaries a
+/// one-op-at-a-time loop would give them.
+fn drive(
+    soc: &mut Soc,
+    plan: &FaultPlan,
+    cfg: &ArmConfig,
+    mut checkpoint: impl FnMut(&Soc),
+) -> (Result<ExitStatus, Trap>, Vec<InjectionRecord>) {
+    let interval = cfg.checkpoint_interval.max(1);
+    let mut next_ckpt = soc.core.perf.cycles.saturating_add(interval);
+    let limit = soc.core.perf.cycles.saturating_add(cfg.budget);
+    let mut injections: Vec<InjectionRecord> = Vec::new();
+    let mut pending = plan.events.iter().peekable();
+
+    let exit = loop {
+        let now = soc.core.perf.cycles;
+        while let Some(ev) = pending.next_if(|ev| now >= ev.cycle) {
+            injections.push(apply(soc, ev));
+        }
+        if injections.is_empty() && now >= next_ckpt {
+            checkpoint(soc);
+            next_ckpt = next_ckpt.saturating_add(interval);
+        }
+        if now >= limit {
+            break Err(Trap::Watchdog {
+                pc: soc.core.pc,
+                budget: cfg.budget,
+            });
+        }
+        let mut stop = limit;
+        if let Some(ev) = pending.peek() {
+            stop = stop.min(ev.cycle);
+        }
+        if injections.is_empty() {
+            stop = stop.min(next_ckpt);
+        }
+        // At least one op per burst: a checkpoint still due right after
+        // one was taken (an interval shorter than one op) waits for the
+        // next boundary instead of firing twice at this one.
+        let stop = stop.max(now + 1);
+        match soc.core.run(&mut soc.mem, stop - now) {
+            Ok(exit) => break Ok(exit),
+            // The burst reached its stop: the next scheduling point.
+            Err(Trap::Watchdog { .. }) => {}
+            Err(t) => break Err(t),
+        }
+    };
+    (exit, injections)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{FaultDomain, TargetSpace};
+    use pulp_isa::Reg;
     use pulp_kernels::{ConvKernelConfig, ConvTestbench, LayerLayout};
     use qnn::conv::ConvShape;
     use qnn::BitWidth;
+
+    /// The one-op-at-a-time driver the burst segments replaced, kept as
+    /// their oracle: a [`Core::step`] per retire boundary, with the
+    /// tracer attached for the whole run.
+    fn run_armed_per_op(soc: &mut Soc, plan: &FaultPlan, cfg: &ArmConfig) -> ArmedRun {
+        let before = soc.core.perf;
+        if cfg.trace_depth > 0 {
+            soc.core.attach_tracer(cfg.trace_depth);
+        }
+        let mut pre_fault = soc.snapshot();
+        let mut checkpoints = 1u64;
+        let interval = cfg.checkpoint_interval.max(1);
+        let mut next_ckpt = soc.core.perf.cycles.saturating_add(interval);
+        let mut injections: Vec<InjectionRecord> = Vec::new();
+        let mut pending = plan.events.iter().peekable();
+        let limit = soc.core.perf.cycles.saturating_add(cfg.budget);
+        let exit = loop {
+            while let Some(ev) = pending.next_if(|ev| soc.core.perf.cycles >= ev.cycle) {
+                injections.push(apply(soc, ev));
+            }
+            if injections.is_empty() && soc.core.perf.cycles >= next_ckpt {
+                pre_fault = soc.snapshot();
+                checkpoints += 1;
+                next_ckpt = next_ckpt.saturating_add(interval);
+            }
+            if soc.core.perf.cycles >= limit {
+                break Err(Trap::Watchdog {
+                    pc: soc.core.pc,
+                    budget: cfg.budget,
+                });
+            }
+            match soc.core.step(&mut soc.mem) {
+                Ok(true) => {
+                    break Ok(ExitStatus {
+                        halted: true,
+                        exit_code: soc.core.reg(Reg::A0),
+                        pc: soc.core.pc,
+                    })
+                }
+                Ok(false) => {}
+                Err(t) => break Err(t),
+            }
+        };
+        let (trace_tail, hot_pcs) = match (&exit, soc.core.take_tracer()) {
+            (Err(_), Some(t)) => diagnostics(&t),
+            _ => (String::new(), String::new()),
+        };
+        ArmedRun {
+            exit,
+            perf: soc.core.perf.delta_since(&before),
+            injections,
+            pre_fault,
+            checkpoints,
+            trace_tail,
+            hot_pcs,
+        }
+    }
+
+    /// Burst segments against the per-op oracle over plans × checkpoint
+    /// intervals × budgets × trace depths: every observable of the run
+    /// must be identical, the final machine state included.
+    #[test]
+    fn burst_segments_match_the_per_op_driver() {
+        let tb = small_bench();
+        let mut soc = tb.stage();
+        soc.core.attach_tracer(1);
+        let report = soc.run(100_000_000).expect("clean run");
+        let clean = report.perf.cycles;
+        // The hottest instruction: fetched (and cached) long before
+        // mid-run.
+        let hot = soc.core.take_tracer().unwrap().hotspots(1)[0].pc;
+        let layout = LayerLayout::default_for_l2();
+        let reg = |cycle, reg, bit| FaultEvent {
+            cycle,
+            domain: FaultDomain::RegisterFile,
+            target: FaultTarget::Register { reg, bit },
+        };
+        let mem = |cycle, addr, bit| FaultEvent {
+            cycle,
+            domain: FaultDomain::DataMemory,
+            target: FaultTarget::Memory { addr, bit },
+        };
+        let plans = [
+            ("empty", vec![]),
+            (
+                "registers",
+                vec![reg(clean / 4, 10, 3), reg(clean / 2, 15, 31)],
+            ),
+            (
+                "tensors",
+                vec![
+                    mem(clean / 5, layout.input + 3, 1),
+                    mem(clean / 3, layout.weights + 5, 6),
+                    mem(clean / 2, layout.output, 0),
+                ],
+            ),
+            ("fetched code", vec![mem(clean / 2, hot, 4)]),
+            (
+                "same cycle",
+                vec![
+                    reg(clean / 3, 8, 0),
+                    mem(clean / 3, layout.input + 1, 2),
+                    mem(clean / 3, hot + 2, 2),
+                ],
+            ),
+        ];
+        let (mut halted, mut trapped, mut watchdogs) = (0, 0, 0);
+        for (name, events) in plans {
+            let plan = FaultPlan { seed: 0, events };
+            for budget in [clean * 4 + 10_000, clean * 2 / 3] {
+                for interval in [1, 7, clean / 8, budget] {
+                    for trace_depth in [0, 64] {
+                        let cfg = ArmConfig {
+                            budget,
+                            checkpoint_interval: interval,
+                            trace_depth,
+                        };
+                        let case = format!("{name}, {cfg:?}");
+                        let mut burst_soc = tb.stage();
+                        let burst = run_armed(&mut burst_soc, &plan, &cfg);
+                        let mut oracle_soc = tb.stage();
+                        let oracle = run_armed_per_op(&mut oracle_soc, &plan, &cfg);
+                        assert_eq!(burst.exit, oracle.exit, "{case}: exit");
+                        assert_eq!(burst.injections, oracle.injections, "{case}: injections");
+                        assert_eq!(burst.checkpoints, oracle.checkpoints, "{case}: checkpoints");
+                        assert_eq!(
+                            (burst.pre_fault.cycles(), burst.pre_fault.pc()),
+                            (oracle.pre_fault.cycles(), oracle.pre_fault.pc()),
+                            "{case}: pre-fault checkpoint"
+                        );
+                        assert!(
+                            burst.pre_fault == oracle.pre_fault,
+                            "{case}: pre-fault checkpoint state (L2 included)"
+                        );
+                        assert_eq!(burst.perf, oracle.perf, "{case}: perf delta");
+                        assert!(
+                            burst_soc.snapshot() == oracle_soc.snapshot(),
+                            "{case}: final state (L2 included)"
+                        );
+                        assert_eq!(burst.trace_tail, oracle.trace_tail, "{case}: trace tail");
+                        assert_eq!(burst.hot_pcs, oracle.hot_pcs, "{case}: hot PCs");
+                        assert!(burst_soc.core.tracer().is_none(), "{case}: tracer left");
+                        match burst.exit {
+                            Ok(_) => halted += 1,
+                            Err(Trap::Watchdog { .. }) => watchdogs += 1,
+                            Err(_) => trapped += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // Every exit kind, diagnostics included, is exercised.
+        assert!(
+            halted > 0 && trapped > 0 && watchdogs > 0,
+            "{halted} {trapped} {watchdogs}"
+        );
+    }
 
     fn small_bench() -> ConvTestbench {
         let shape = ConvShape {

@@ -11,11 +11,14 @@
 //! * [`plan`] — seeded, replayable schedules of single-bit flips over a
 //!   typed target space (register file, SIMD accumulator registers,
 //!   tensor SRAM, `pv.qnt` threshold trees);
-//! * [`exec`] — an external step-loop driver that applies flips between
-//!   retired instructions and keeps rolling pre-fault checkpoints
-//!   ([`pulp_soc::SocSnapshot`]). The core has **no injection hooks**,
-//!   so disarmed execution is the unmodified hot path — pinned by the
-//!   `disarmed_runs_cost_nothing` test to the exact Fig. 8 cycle count;
+//! * [`exec`] — an external driver that runs the core in burst segments
+//!   between scheduling points, applies flips at those retire
+//!   boundaries and keeps rolling pre-fault checkpoints
+//!   ([`pulp_soc::SocSnapshot`]); the tracer is attached only to re-run
+//!   a trapped run from its initial state. The core has **no injection
+//!   hooks**, so disarmed execution is the unmodified hot path — pinned
+//!   by the `disarmed_runs_cost_nothing` test to the exact Fig. 8 cycle
+//!   count;
 //! * [`campaign`] — AVF campaigns over the eight-kernel convolution
 //!   matrix, classifying every flip as detected / masked / SDC;
 //! * [`replay`] — re-derives any trial from its seed, restores the

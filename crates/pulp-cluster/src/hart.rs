@@ -17,8 +17,8 @@
 //! happens exclusively across barriers, where the logs have been
 //! merged.
 
-use pulp_soc::cluster::{in_tcdm, tcdm_bank, ClusterMem, EU_BARRIER, TCDM_BASE};
-use pulp_soc::{CONSOLE_ADDR, L2_BASE, L2_SIZE};
+use pulp_soc::cluster::{l2_offset, tcdm_bank, tcdm_offset, ClusterMem, EU_BARRIER};
+use pulp_soc::CONSOLE_ADDR;
 use riscv_core::{Bus, BusError, Core, Trap};
 
 /// One TCDM request in a hart's per-region access trace.
@@ -119,15 +119,6 @@ impl HartPort {
             self.traced_this_step = true;
         }
     }
-
-    fn tcdm_off(&self, addr: u32, size: u32) -> Option<usize> {
-        in_tcdm(addr, size).then(|| (addr - TCDM_BASE) as usize)
-    }
-
-    fn l2_off(&self, addr: u32, size: u32) -> Option<usize> {
-        (addr >= L2_BASE && addr.wrapping_add(size) <= L2_BASE + L2_SIZE)
-            .then(|| (addr - L2_BASE) as usize)
-    }
 }
 
 fn le_read(bytes: &[u8], off: usize, size: u32) -> u32 {
@@ -146,14 +137,14 @@ fn le_write(bytes: &mut [u8], off: usize, size: u32, value: u32) {
 
 impl Bus for HartPort {
     fn read(&mut self, addr: u32, size: u32) -> Result<u32, BusError> {
-        if let Some(off) = self.tcdm_off(addr, size) {
+        if let Some(off) = tcdm_offset(addr, size) {
             self.note_tcdm(addr);
             if self.log_reads {
                 self.reads.push((addr, size));
             }
             return Ok(le_read(&self.tcdm, off, size));
         }
-        if let Some(off) = self.l2_off(addr, size) {
+        if let Some(off) = l2_offset(addr, size) {
             if self.log_reads {
                 self.reads.push((addr, size));
             }
@@ -175,10 +166,10 @@ impl Bus for HartPort {
             self.console.push(value as u8);
             return Ok(());
         }
-        if let Some(off) = self.tcdm_off(addr, size) {
+        if let Some(off) = tcdm_offset(addr, size) {
             self.note_tcdm(addr);
             le_write(&mut self.tcdm, off, size, value);
-        } else if let Some(off) = self.l2_off(addr, size) {
+        } else if let Some(off) = l2_offset(addr, size) {
             le_write(&mut self.l2, off, size, value);
         } else {
             return Err(BusError {
@@ -235,6 +226,8 @@ mod tests {
     use super::*;
     use pulp_asm::Asm;
     use pulp_isa::Reg;
+    use pulp_soc::cluster::TCDM_BASE;
+    use pulp_soc::L2_BASE;
     use riscv_core::IsaConfig;
 
     #[test]

@@ -81,4 +81,34 @@ mod tests {
         assert_eq!(r.exit_codes, vec![0, 1, 2, 3]);
         assert!(r.clock > 0);
     }
+
+    /// An access whose range wraps past 2^32 is a typed bus error on
+    /// every hart, never an out-of-bounds index into the memory image.
+    #[test]
+    fn wrapping_accesses_trap_with_a_bus_error() {
+        let load = |a: &mut Asm| {
+            a.li(Reg::T1, -2);
+            a.lw(Reg::T0, 0, Reg::T1);
+        };
+        let store = |a: &mut Asm| {
+            a.li(Reg::T1, -1);
+            a.sb(Reg::T0, 0, Reg::T1);
+        };
+        for (access, addr) in [
+            (&load as &dyn Fn(&mut Asm), 0xffff_fffe_u32),
+            (&store, 0xffff_ffff),
+        ] {
+            let mut a = Asm::new(pulp_soc::CODE_BASE);
+            access(&mut a);
+            a.ecall();
+            let prog = a.assemble().unwrap();
+            let err = run_spmd(IsaConfig::xpulpnn(), 2, &prog, 10_000, 1).unwrap_err();
+            let ClusterError::Trap { hart, trap } = err;
+            assert_eq!(hart, 0);
+            assert!(
+                matches!(trap, riscv_core::Trap::Bus { error, .. } if error.addr == addr),
+                "{trap}"
+            );
+        }
+    }
 }

@@ -40,10 +40,26 @@ pub fn tcdm_bank(addr: u32) -> usize {
     ((addr >> 2) as usize) % TCDM_BANKS
 }
 
-/// True when `addr..addr+size` lies entirely inside the TCDM.
+/// The offset of `addr..addr+size` inside the region of `len` bytes at
+/// `base`, or `None` unless every byte lies inside it (a range that
+/// wraps past 2^32 lies inside nothing).
 #[inline]
-pub fn in_tcdm(addr: u32, size: u32) -> bool {
-    addr >= TCDM_BASE && addr.wrapping_add(size) <= TCDM_BASE + TCDM_SIZE
+fn region_offset(addr: u32, size: u32, base: u32, len: u32) -> Option<usize> {
+    let off = addr.checked_sub(base)?;
+    (u64::from(off) + u64::from(size) <= u64::from(len)).then_some(off as usize)
+}
+
+/// The TCDM offset of `addr..addr+size`, when it lies entirely inside
+/// the TCDM.
+#[inline]
+pub fn tcdm_offset(addr: u32, size: u32) -> Option<usize> {
+    region_offset(addr, size, TCDM_BASE, TCDM_SIZE)
+}
+
+/// The L2 offset of `addr..addr+size`, when it lies entirely inside L2.
+#[inline]
+pub fn l2_offset(addr: u32, size: u32) -> Option<usize> {
+    region_offset(addr, size, crate::L2_BASE, crate::L2_SIZE)
 }
 
 /// The cluster's shared memory image: L2 plus the banked L1 TCDM, with
@@ -70,15 +86,9 @@ impl ClusterMem {
     /// Resolves an address range to (is_tcdm, offset), or `None` when it
     /// falls outside both memories.
     fn resolve(&self, addr: u32, len: u32) -> Option<(bool, usize)> {
-        if in_tcdm(addr, len) {
-            Some((true, (addr - TCDM_BASE) as usize))
-        } else if addr >= crate::L2_BASE
-            && addr.wrapping_add(len) <= crate::L2_BASE + crate::L2_SIZE
-        {
-            Some((false, (addr - crate::L2_BASE) as usize))
-        } else {
-            None
-        }
+        tcdm_offset(addr, len)
+            .map(|off| (true, off))
+            .or_else(|| l2_offset(addr, len).map(|off| (false, off)))
     }
 
     /// Host-side bulk write (L2 or TCDM).
