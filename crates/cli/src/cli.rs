@@ -1,12 +1,19 @@
 //! Command parsing and execution (separated from `main` for testing).
+//!
+//! Every subcommand declares its flags once, in [`COMMANDS`]; one parser
+//! ([`parse_args`]) checks an argument vector against that table, and
+//! each `cmd_*` reads its options from the parsed [`Args`].
 
-use std::fmt::Write as _;
+use std::fmt::{Debug, Write as _};
+use std::ops::RangeBounds;
+use std::path::Path;
+use std::str::FromStr;
 use xpulpnn::pulp_asm::text::parse;
 use xpulpnn::pulp_isa::compressed::code_size_report;
 use xpulpnn::pulp_isa::reg::ALL_REGS;
 use xpulpnn::pulp_soc::Soc;
 use xpulpnn::riscv_core::{IsaConfig, Trap};
-use xpulpnn::{BitWidth, KernelIsa};
+use xpulpnn::{BitWidth, ConvKernelConfig, KernelIsa};
 
 /// Usage text shown on errors.
 pub const USAGE: &str = "\
@@ -171,136 +178,351 @@ fn err(msg: impl Into<String>) -> CliError {
 
 /// A runtime failure: the arguments were fine, the work failed
 /// (exit code 1, no USAGE dump burying the actual diagnostic).
-fn fail(msg: impl Into<String>) -> CliError {
+fn fail(msg: impl std::fmt::Display) -> CliError {
     CliError {
-        message: msg.into(),
+        message: msg.to_string(),
         usage: false,
     }
 }
 
-/// Parsed options for `run`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RunOpts {
-    /// Source path.
-    pub path: String,
-    /// Core configuration.
-    pub isa: IsaConfig,
-    /// Cycle budget.
-    pub max_cycles: u64,
-    /// Print each retired instruction.
-    pub trace: bool,
-    /// Harts to run the program on (1 = the plain single-core SoC).
-    pub cores: usize,
-    /// Explicit vector-unit width (`--backend vector` only); `None`
-    /// leaves the core at its default VLEN.
-    pub vlen: Option<u32>,
+/// One entry of a subcommand's table, spelled as in [`USAGE`]: `--trace`
+/// is a switch, `--cores N` takes a value (`N` is its metavar) and
+/// `<file.s>` is the one positional argument.
+struct Flag {
+    spec: &'static str,
+    /// Value taken when the flag is absent; naming another flag takes
+    /// that flag's value (`--threads` defaults to `--cores`).
+    default: Option<&'static str>,
+    /// The mode switch this flag is only valid with (`lint --races
+    /// --cores N`).
+    under: Option<&'static str>,
 }
 
-/// Parses the flags of the `run` subcommand.
-pub fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
-    let mut path = None;
-    let mut isa = IsaConfig::xpulpnn();
-    let mut max_cycles = 100_000_000u64;
-    let mut trace = false;
-    let mut cores = 1usize;
-    let mut vlen = None;
-    let mut isa_set = false;
-    let mut backend_set = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                isa = match v.as_str() {
-                    "rv32im" => IsaConfig::rv32im(),
-                    "xpulpv2" => IsaConfig::xpulpv2(),
-                    "xpulpnn" => IsaConfig::xpulpnn(),
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-                isa_set = true;
-            }
-            "--backend" => {
-                let v = it.next().ok_or_else(|| err("--backend needs a value"))?;
-                isa = match v.as_str() {
-                    "simd" => IsaConfig::xpulpnn(),
-                    "vector" => IsaConfig::vector(),
-                    other => {
-                        return Err(err(format!("unknown backend `{other}` (want simd|vector)")))
-                    }
-                };
-                backend_set = true;
-            }
-            "--vlen" => {
-                let v = it.next().ok_or_else(|| err("--vlen needs a value"))?;
-                vlen = Some(
-                    v.parse::<u32>()
-                        .ok()
-                        .filter(|n| n.is_power_of_two() && (32..=256).contains(n))
-                        .ok_or_else(|| {
-                            err(format!("bad VLEN `{v}` (want a power of two in 32..=256)"))
-                        })?,
-                );
-            }
-            "--max-cycles" => {
-                let v = it.next().ok_or_else(|| err("--max-cycles needs a value"))?;
-                max_cycles = v
-                    .parse()
-                    .map_err(|_| err(format!("bad cycle count `{v}`")))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}`")));
-            }
-            p => {
-                if path.replace(p.to_string()).is_some() {
-                    return Err(err("multiple input files"));
-                }
-            }
-        }
+const fn flag(spec: &'static str) -> Flag {
+    Flag {
+        spec,
+        default: None,
+        under: None,
     }
-    if trace && cores > 1 {
-        return Err(err("--trace is single-core only (use --cores 1)"));
-    }
-    if isa_set && backend_set {
-        return Err(err("--isa and --backend are mutually exclusive"));
-    }
-    if vlen.is_some() && !isa.rvv {
-        return Err(err("--vlen requires --backend vector"));
-    }
-    if vlen.is_some() && cores > 1 {
-        return Err(err("--vlen is single-core only (use --cores 1)"));
-    }
-    Ok(RunOpts {
-        path: path.ok_or_else(|| err("run needs an input file"))?,
-        isa,
-        max_cycles,
-        trace,
-        cores,
-        vlen,
-    })
 }
 
-fn parse_seed(args: &[String]) -> Result<u64, CliError> {
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
+impl Flag {
+    const fn default(self, value: &'static str) -> Flag {
+        Flag {
+            default: Some(value),
+            ..self
         }
     }
-    Ok(seed)
+
+    const fn under(self, mode: &'static str) -> Flag {
+        Flag {
+            under: Some(mode),
+            ..self
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.spec.split(' ').next().unwrap_or_default()
+    }
+
+    fn metavar(&self) -> Option<&'static str> {
+        self.spec.split_once(' ').map(|(_, metavar)| metavar)
+    }
+}
+
+/// A subcommand: its flag table, the flags of which at most one may be
+/// given, and the function that runs it.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<String, CliError>,
+    flags: &'static [Flag],
+    exclusive: &'static [&'static str],
+}
+
+impl Command {
+    const fn new(
+        name: &'static str,
+        run: fn(&Args) -> Result<String, CliError>,
+        flags: &'static [Flag],
+    ) -> Command {
+        Command {
+            name,
+            run,
+            flags,
+            exclusive: &[],
+        }
+    }
+
+    const fn exclusive(self, flags: &'static [&'static str]) -> Command {
+        Command {
+            exclusive: flags,
+            ..self
+        }
+    }
+}
+
+/// Every subcommand's flags, declared once.
+const COMMANDS: &[Command] = &[
+    Command::new(
+        "run",
+        cmd_run,
+        &[
+            flag("<file.s>"),
+            flag("--isa rv32im|xpulpv2|xpulpnn").default("xpulpnn"),
+            flag("--backend simd|vector"),
+            flag("--vlen N"),
+            flag("--max-cycles N").default("100000000"),
+            flag("--trace"),
+            flag("--cores N").default("1"),
+        ],
+    )
+    .exclusive(&["--isa", "--backend"]),
+    Command::new("dis", cmd_dis, &[flag("<file.s>")]),
+    Command::new("codesize", cmd_codesize, &[flag("<file.s>")]),
+    Command::new("sweep", cmd_sweep, &[flag("--seed N").default("42")]),
+    Command::new("report", cmd_report, &[flag("--seed N").default("42")]),
+    Command::new(
+        "profile",
+        cmd_profile,
+        &[
+            flag("--bits 8|4|2").default("4"),
+            flag("--isa xpulpv2|xpulpnn").default("xpulpnn"),
+            flag("--sw-quant"),
+            flag("--seed N").default("42"),
+            flag("--top N").default("10"),
+        ],
+    ),
+    Command::new(
+        "cluster",
+        cmd_cluster,
+        &[
+            flag("--cores N").default("8"),
+            flag("--bits 8|4|2").default("4"),
+            flag("--isa xpulpv2|xpulpnn").default("xpulpnn"),
+            flag("--sw-quant"),
+            flag("--seed N").default("42"),
+            flag("--threads N").default("--cores"),
+        ],
+    ),
+    Command::new(
+        "bench",
+        cmd_bench,
+        &[
+            flag("--json"),
+            flag("--host"),
+            flag("--seed N").default("42"),
+            flag("--out DIR").default("."),
+        ],
+    )
+    .exclusive(&["--json", "--host"]),
+    Command::new(
+        "lint",
+        cmd_lint,
+        &[
+            flag("<file.s>"),
+            flag("--races"),
+            flag("--cores N").default("8").under("--races"),
+        ],
+    )
+    .exclusive(&["--races", "<file.s>"]),
+    Command::new(
+        "conformance",
+        cmd_conformance,
+        &[
+            flag("--cases N").default("1000"),
+            flag("--seed S").default("1"),
+            flag("--vector"),
+            flag("--crossval"),
+            flag("--fastpath"),
+            flag("--races"),
+        ],
+    )
+    .exclusive(&["--vector", "--crossval", "--fastpath", "--races"]),
+    Command::new(
+        "faults",
+        cmd_faults,
+        &[
+            flag("--seed S").default("42"),
+            flag("--trials N").default("25"),
+            flag("--replay V:T"),
+            flag("--cluster"),
+            flag("--cores N").default("8").under("--cluster"),
+        ],
+    )
+    .exclusive(&["--cluster", "--replay"]),
+    Command::new(
+        "serve",
+        cmd_serve,
+        &[
+            flag("--workers N").default("2"),
+            flag("--seed S").default("1"),
+            flag("--weight-seed S").default("42"),
+        ],
+    ),
+    // `loadgen` and `soak` take their defaults from the serving
+    // library's configs.
+    Command::new(
+        "loadgen",
+        cmd_loadgen,
+        &[
+            flag("--seed S"),
+            flag("--requests N"),
+            flag("--workers N"),
+            flag("--batch N"),
+            flag("--queue N"),
+            flag("--weight-seed S"),
+            flag("--faults SEED"),
+            flag("--gap-us N"),
+            flag("--no-warm"),
+            flag("--out DIR").default("."),
+        ],
+    ),
+    Command::new(
+        "soak",
+        cmd_soak,
+        &[
+            flag("--seed S"),
+            flag("--workers N"),
+            flag("--scale N"),
+            flag("--weight-seed S"),
+            flag("--out DIR").default("."),
+        ],
+    ),
+];
+
+/// A subcommand's arguments, checked against its table.
+struct Args {
+    cmd: &'static Command,
+    /// Entries given, in command-line order, with their values (a switch
+    /// or the positional holds its own argument); a repeated flag's last
+    /// value wins.
+    given: Vec<(&'static Flag, String)>,
+}
+
+/// Checks `args` against `cmd`'s table. Unknown flags, missing values, a
+/// second positional, a flag outside its mode and two mutually exclusive
+/// flags are usage errors.
+fn parse_args(cmd: &'static Command, args: &[String]) -> Result<Args, CliError> {
+    let mut p = Args {
+        cmd,
+        given: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let positional = !a.starts_with('-');
+        let f = (cmd.flags.iter())
+            .find(|f| (f.spec.starts_with('<') && positional) || f.name() == a)
+            .ok_or_else(|| err(format!("unknown argument `{a}`")))?;
+        if positional && p.has(f.spec) {
+            return Err(err("multiple input files"));
+        }
+        let value = match f.metavar() {
+            Some(metavar) => it
+                .next()
+                .ok_or_else(|| err(format!("{a} needs a value ({metavar})")))?,
+            None => a,
+        };
+        p.given.push((f, value.clone()));
+    }
+    for (f, _) in &p.given {
+        if let Some(mode) = f.under.filter(|mode| !p.has(mode)) {
+            return Err(err(format!("{} requires {mode}", f.name())));
+        }
+    }
+    let mut set = cmd.exclusive.iter().filter(|name| p.has(name));
+    if let (Some(a), Some(b)) = (set.next(), set.next()) {
+        return Err(err(format!("{a} and {b} are mutually exclusive")));
+    }
+    Ok(p)
+}
+
+impl Args {
+    /// Whether the flag (or the positional, by its spec) was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(f, _)| f.name() == name)
+    }
+
+    /// The flag's last given value, else its declared default.
+    fn value(&self, name: &str) -> Option<&str> {
+        if let Some((_, v)) = self.given.iter().rev().find(|(f, _)| f.name() == name) {
+            return Some(v);
+        }
+        match self.entry(name).default? {
+            flag if flag.starts_with("--") => self.value(flag),
+            default => Some(default),
+        }
+    }
+
+    /// The value of a flag whose table entry declares a default.
+    fn get(&self, name: &str) -> &str {
+        self.value(name)
+            .unwrap_or_else(|| panic!("`{} {name}` declares no default", self.cmd.name))
+    }
+
+    fn entry(&self, name: &str) -> &'static Flag {
+        self.cmd
+            .flags
+            .iter()
+            .find(|f| f.name() == name)
+            .unwrap_or_else(|| panic!("`{name}` is not in the `{}` table", self.cmd.name))
+    }
+
+    /// The positional input file.
+    fn file(&self) -> Result<&str, CliError> {
+        self.value("<file.s>")
+            .ok_or_else(|| err(format!("{} needs an input file", self.cmd.name)))
+    }
+
+    /// The flag as a number in `range`; the flag declares a default.
+    fn num<T: FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        range: impl RangeBounds<T> + Debug,
+    ) -> Result<T, CliError> {
+        number(name, self.get(name), range)
+    }
+
+    /// The flag as a number in `range`, `None` when it is absent and
+    /// declares no default.
+    fn opt_num<T: FromStr + PartialOrd>(
+        &self,
+        name: &str,
+        range: impl RangeBounds<T> + Debug,
+    ) -> Result<Option<T>, CliError> {
+        self.value(name).map(|v| number(name, v, range)).transpose()
+    }
+
+    /// The option the flag's value picks: `options` follow the order in
+    /// which its metavar spells them (`--bits 8|4|2`). The flag declares
+    /// a default or was given.
+    fn choice<T: Copy>(&self, name: &str, options: &[T]) -> Result<T, CliError> {
+        let want = self.entry(name).metavar().unwrap_or_default();
+        let v = self.get(name);
+        let i = want.split('|').position(|k| k == v);
+        i.map(|i| options[i])
+            .ok_or_else(|| err(format!("bad {name} `{v}` (want {want})")))
+    }
+}
+
+/// `v`, the value of `name`, as a number in `range`.
+fn number<T: FromStr + PartialOrd>(
+    name: &str,
+    v: &str,
+    range: impl RangeBounds<T> + Debug,
+) -> Result<T, CliError> {
+    match v.parse() {
+        Ok(n) if range.contains(&n) => Ok(n),
+        Ok(_) => Err(err(format!("bad {name} `{v}` (want {range:?})"))),
+        Err(_) => Err(err(format!("bad {name} `{v}`"))),
+    }
+}
+
+/// Writes `json` as `name` under `--out`; returns the `wrote PATH` line.
+fn write_artifact(p: &Args, name: &str, json: &str) -> Result<String, CliError> {
+    let path = Path::new(p.get("--out")).join(name);
+    std::fs::write(&path, format!("{json}\n"))
+        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    Ok(format!("wrote {}\n", path.display()))
 }
 
 fn load_program(path: &str) -> Result<xpulpnn::pulp_asm::Program, CliError> {
@@ -309,24 +531,57 @@ fn load_program(path: &str) -> Result<xpulpnn::pulp_asm::Program, CliError> {
     parse(&source).map_err(|e| fail(format!("{path}: {e}")))
 }
 
-fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_run_opts(args)?;
-    let prog = load_program(&opts.path)?;
-    if opts.cores > 1 {
-        return run_spmd_report(&opts, &prog);
+/// The core `run` simulates: `--backend` picks the compute backend,
+/// `--isa` the ISA of the SIMD core.
+fn run_isa(p: &Args) -> Result<IsaConfig, CliError> {
+    use IsaConfig as I;
+    if p.has("--backend") {
+        p.choice("--backend", &[I::xpulpnn(), I::vector()])
+    } else {
+        p.choice("--isa", &[I::rv32im(), I::xpulpv2(), I::xpulpnn()])
     }
-    let mut soc = match opts.vlen {
-        Some(v) => Soc::with_vlen(opts.isa, v),
-        None => Soc::new(opts.isa),
+}
+
+fn cmd_run(p: &Args) -> Result<String, CliError> {
+    let path = p.file()?;
+    let isa = run_isa(p)?;
+    let max_cycles: u64 = p.num("--max-cycles", ..)?;
+    let trace = p.has("--trace");
+    let cores: usize = p.num("--cores", 1..=8)?;
+    let vlen: Option<u32> = p.opt_num("--vlen", 32..=256)?;
+    if trace && cores > 1 {
+        return Err(err("--trace is single-core only (use --cores 1)"));
+    }
+    if let Some(v) = vlen {
+        if !v.is_power_of_two() {
+            return Err(err(format!(
+                "bad --vlen `{v}` (want a power of two in 32..=256)"
+            )));
+        }
+        if !isa.rvv {
+            return Err(err("--vlen requires --backend vector"));
+        }
+        if cores > 1 {
+            return Err(err("--vlen is single-core only (use --cores 1)"));
+        }
+    }
+    let prog = load_program(path)?;
+    if cores > 1 {
+        let r = xpulpnn::pulp_cluster::run_spmd(isa, cores, &prog, max_cycles, cores);
+        return Ok(spmd_report(&r.map_err(fail)?));
+    }
+    let mut soc = match vlen {
+        Some(v) => Soc::with_vlen(isa, v),
+        None => Soc::new(isa),
     };
     soc.load(&prog);
     let mut out = String::new();
     const TRACE_CAP: usize = 5000;
     let before = soc.core.perf;
-    let exit = if opts.trace {
+    let exit = if trace {
         let mut lines = 0usize;
         let mut trace_buf = String::new();
-        let exit = soc.core.run_traced(&mut soc.mem, opts.max_cycles, |pc, i| {
+        let exit = soc.core.run_traced(&mut soc.mem, max_cycles, |pc, i| {
             if lines < TRACE_CAP {
                 let _ = writeln!(trace_buf, "  {pc:08x}:  {i}");
             }
@@ -338,7 +593,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         }
         exit
     } else {
-        soc.run(opts.max_cycles).map(|r| r.exit)
+        soc.run(max_cycles).map(|r| r.exit)
     };
     let perf = soc.core.perf.delta_since(&before);
     match exit {
@@ -350,7 +605,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         Err(Trap::Watchdog { pc, budget }) => {
             let _ = writeln!(out, "cycle budget ({budget}) exhausted at pc {pc:#010x}");
         }
-        Err(t) => return Err(fail(t.to_string())),
+        Err(t) => return Err(fail(t)),
     }
     let _ = writeln!(out, "cycles    : {}", perf.cycles);
     let _ = writeln!(out, "instret   : {}", perf.instret);
@@ -369,11 +624,8 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `run --cores N`: the program runs SPMD on an N-hart cluster.
-fn run_spmd_report(opts: &RunOpts, prog: &xpulpnn::pulp_asm::Program) -> Result<String, CliError> {
-    let r =
-        xpulpnn::pulp_cluster::run_spmd(opts.isa, opts.cores, prog, opts.max_cycles, opts.cores)
-            .map_err(|e| fail(e.to_string()))?;
+/// `run --cores N`: the program ran SPMD on an N-hart cluster.
+fn spmd_report(r: &xpulpnn::pulp_cluster::RawRunReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "exit codes: {:?}", r.exit_codes);
     let _ = writeln!(out, "cycles    : {}", r.clock);
@@ -392,104 +644,34 @@ fn run_spmd_report(opts: &RunOpts, prog: &xpulpnn::pulp_asm::Program) -> Result<
     if !r.console.is_empty() {
         let _ = writeln!(out, "console   : {:?}", r.console);
     }
-    Ok(out)
+    out
 }
 
-/// Parsed options for `cluster`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ClusterOpts {
-    /// Harts in the cluster.
-    pub cores: usize,
-    /// Operand width of the paper-layer kernel.
-    pub bits: BitWidth,
-    /// Kernel ISA.
-    pub isa: KernelIsa,
-    /// Use `pv.qnt` (sub-byte XpulpNN kernels only).
-    pub hw_quant: bool,
-    /// Tensor seed.
-    pub seed: u64,
-    /// Host threads simulating the harts (never affects cycles).
-    pub threads: usize,
+/// `--bits`, `--isa` and `--sw-quant`: the paper-layer kernel `profile`
+/// and `cluster` run. `ConvKernelConfig::paper` drops `pv.qnt` where it
+/// cannot exist (XpulpV2 or 8-bit).
+fn paper_kernel(p: &Args) -> Result<ConvKernelConfig, CliError> {
+    let bits = p.choice("--bits", &[BitWidth::W8, BitWidth::W4, BitWidth::W2])?;
+    let isa = p.choice("--isa", &[KernelIsa::XpulpV2, KernelIsa::XpulpNN])?;
+    Ok(ConvKernelConfig::paper(bits, isa, !p.has("--sw-quant")))
 }
 
-/// Parses the flags of the `cluster` subcommand.
-pub fn parse_cluster_opts(args: &[String]) -> Result<ClusterOpts, CliError> {
-    let mut o = ClusterOpts {
-        cores: 8,
-        bits: BitWidth::W4,
-        isa: KernelIsa::XpulpNN,
-        hw_quant: true,
-        seed: 42,
-        threads: 0, // 0 = match --cores
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                o.cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or_else(|| err("--threads needs a value"))?;
-                o.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| err(format!("bad thread count `{v}`")))?;
-            }
-            "--bits" => {
-                let v = it.next().ok_or_else(|| err("--bits needs a value"))?;
-                o.bits = match v.as_str() {
-                    "8" => BitWidth::W8,
-                    "4" => BitWidth::W4,
-                    "2" => BitWidth::W2,
-                    other => return Err(err(format!("unknown width `{other}`"))),
-                };
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                o.isa = match v.as_str() {
-                    "xpulpv2" => KernelIsa::XpulpV2,
-                    "xpulpnn" => KernelIsa::XpulpNN,
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-            }
-            "--sw-quant" => o.hw_quant = false,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if o.isa == KernelIsa::XpulpV2 || o.bits == BitWidth::W8 {
-        o.hw_quant = false; // pv.qnt exists only on sub-byte XpulpNN kernels
-    }
-    if o.threads == 0 {
-        o.threads = o.cores;
-    }
-    Ok(o)
-}
-
-fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
-    let o = parse_cluster_opts(args)?;
-    let cfg = xpulpnn::ConvKernelConfig::paper(o.bits, o.isa, o.hw_quant);
-    let tb = xpulpnn::pulp_cluster::ClusterConvTestbench::new(cfg, o.cores, o.seed)
-        .map_err(|e| fail(e.to_string()))?;
-    let r = tb.run(o.threads).map_err(|e| fail(e.to_string()))?;
+fn cmd_cluster(p: &Args) -> Result<String, CliError> {
+    let cfg = paper_kernel(p)?;
+    let cores: usize = p.num("--cores", 1..=8)?;
+    let seed: u64 = p.num("--seed", ..)?;
+    let threads: usize = p.num("--threads", 1..)?;
+    let tb = xpulpnn::pulp_cluster::ClusterConvTestbench::new(cfg, cores, seed).map_err(fail)?;
+    let r = tb.run(threads).map_err(fail)?;
     if !r.matches() {
         return Err(fail(format!(
             "{}: cluster output diverged from the golden model",
             cfg.name()
         )));
     }
-    let single = xpulpnn::measure::measure(cfg, o.seed).map_err(|e| fail(e.to_string()))?;
+    let single = xpulpnn::measure::measure(cfg, seed).map_err(fail)?;
     let mut out = String::new();
-    let _ = writeln!(out, "kernel      : {} on {} core(s)", cfg.name(), o.cores);
+    let _ = writeln!(out, "kernel      : {} on {} core(s)", cfg.name(), cores);
     let _ = writeln!(out, "output      : matches golden model (bit-exact)");
     let _ = writeln!(
         out,
@@ -513,7 +695,7 @@ fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
         "dma         : prologue {} + writeback {} blocking; {} hidden, {} exposed",
         r.stats.dma_prologue, r.stats.dma_writeback, r.stats.dma_hidden, r.stats.dma_exposed
     );
-    for h in 0..o.cores {
+    for h in 0..cores {
         let _ = writeln!(
             out,
             "  hart {h}    : busy {:<10} barrier-wait {:<8} utilization {:.1}%",
@@ -525,60 +707,16 @@ fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parsed options for `bench`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct BenchOpts {
-    /// Write `BENCH_<label>.json` artifacts instead of a table.
-    pub json: bool,
-    /// Benchmark the simulator itself (reference steps vs. block
-    /// replay) and write `BENCH_host_throughput.json`.
-    pub host: bool,
-    /// Tensor seed.
-    pub seed: u64,
-    /// Directory the JSON artifacts land in.
-    pub out_dir: String,
-}
-
-/// Parses the flags of the `bench` subcommand.
-pub fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
-    let mut o = BenchOpts {
-        json: false,
-        host: false,
-        seed: 42,
-        out_dir: ".".to_string(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => o.json = true,
-            "--host" => o.host = true,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                o.out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
+fn cmd_bench(p: &Args) -> Result<String, CliError> {
+    let seed: u64 = p.num("--seed", ..)?;
+    if p.has("--host") {
+        return cmd_bench_host(p, seed);
     }
-    Ok(o)
-}
-
-fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let o = parse_bench_opts(args)?;
-    if o.host {
-        return cmd_bench_host(&o);
-    }
-    let records = xpulpnn::bench::paper_bench_suite(o.seed).map_err(|e| fail(e.to_string()))?;
+    let records = xpulpnn::bench::paper_bench_suite(seed).map_err(fail)?;
     let mut out = String::new();
-    if o.json {
+    if p.has("--json") {
         for r in &records {
-            let path = std::path::Path::new(&o.out_dir).join(format!("BENCH_{}.json", r.label));
-            std::fs::write(&path, format!("{}\n", r.to_json()))
-                .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
-            let _ = writeln!(out, "wrote {}", path.display());
+            out += &write_artifact(p, &format!("BENCH_{}.json", r.label), &r.to_json())?;
         }
         return Ok(out);
     }
@@ -601,11 +739,9 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 /// `bench --host`: time the simulator itself on the Fig. 8 layer (SIMD
 /// and Xrvv VLEN 128), reference steps vs. block replay, and write
 /// `BENCH_host_throughput.json`.
-fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
-    let report = xpulpnn::bench::host_throughput(o.seed).map_err(|e| fail(e.to_string()))?;
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_host_throughput.json");
-    std::fs::write(&path, format!("{}\n", report.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+fn cmd_bench_host(p: &Args, seed: u64) -> Result<String, CliError> {
+    let report = xpulpnn::bench::host_throughput(seed).map_err(fail)?;
+    let wrote = write_artifact(p, "BENCH_host_throughput.json", &report.to_json())?;
     let mut out = String::new();
     for r in [&report.simd, &report.vector] {
         let _ = writeln!(out, "kernel          : {}", r.kernel);
@@ -643,21 +779,16 @@ fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
             report.simd.kernel
         );
     }
-    let _ = writeln!(out, "wrote {}", path.display());
+    out += &wrote;
     Ok(out)
 }
 
-fn cmd_dis(args: &[String]) -> Result<String, CliError> {
-    let path = args.first().ok_or_else(|| err("dis needs an input file"))?;
-    let prog = load_program(path)?;
-    Ok(prog.listing())
+fn cmd_dis(p: &Args) -> Result<String, CliError> {
+    Ok(load_program(p.file()?)?.listing())
 }
 
-fn cmd_codesize(args: &[String]) -> Result<String, CliError> {
-    let path = args
-        .first()
-        .ok_or_else(|| err("codesize needs an input file"))?;
-    let prog = load_program(path)?;
+fn cmd_codesize(p: &Args) -> Result<String, CliError> {
+    let prog = load_program(p.file()?)?;
     let r = code_size_report(prog.instrs.iter());
     Ok(format!(
         "instructions        : {}\ncompressible (RVC)  : {}\nbytes (32-bit only) : {}\nbytes (with RVC)    : {}\nsavings             : {:.1}%\n",
@@ -669,9 +800,8 @@ fn cmd_codesize(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
-    let seed = parse_seed(args)?;
-    let m = xpulpnn::experiments::collect(seed).map_err(|e| fail(e.to_string()))?;
+fn cmd_sweep(p: &Args) -> Result<String, CliError> {
+    let m = xpulpnn::experiments::collect(p.num("--seed", ..)?).map_err(fail)?;
     Ok(format!(
         "{}\n{}",
         xpulpnn::experiments::figure6(&m),
@@ -679,131 +809,38 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let seed = parse_seed(args)?;
-    let r = xpulpnn::experiments::run_all(seed).map_err(|e| fail(e.to_string()))?;
+fn cmd_report(p: &Args) -> Result<String, CliError> {
+    let r = xpulpnn::experiments::run_all(p.num("--seed", ..)?).map_err(fail)?;
     Ok(format!("{r}\n"))
 }
 
-/// Parsed options for `profile`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ProfileOpts {
-    /// Operand width of the paper-layer kernel.
-    pub bits: BitWidth,
-    /// Kernel ISA.
-    pub isa: KernelIsa,
-    /// Use `pv.qnt` (sub-byte XpulpNN kernels only).
-    pub hw_quant: bool,
-    /// Tensor seed.
-    pub seed: u64,
-    /// Number of hotspots to report.
-    pub top: usize,
+fn cmd_profile(p: &Args) -> Result<String, CliError> {
+    let prof =
+        xpulpnn::measure::profile(paper_kernel(p)?, p.num("--seed", ..)?, p.num("--top", ..)?)
+            .map_err(fail)?;
+    Ok(format!("{}\n", prof.to_json()))
 }
 
-/// Parses the flags of the `profile` subcommand.
-pub fn parse_profile_opts(args: &[String]) -> Result<ProfileOpts, CliError> {
-    let mut o = ProfileOpts {
-        bits: BitWidth::W4,
-        isa: KernelIsa::XpulpNN,
-        hw_quant: true,
-        seed: 42,
-        top: 10,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bits" => {
-                let v = it.next().ok_or_else(|| err("--bits needs a value"))?;
-                o.bits = match v.as_str() {
-                    "8" => BitWidth::W8,
-                    "4" => BitWidth::W4,
-                    "2" => BitWidth::W2,
-                    other => return Err(err(format!("unknown width `{other}`"))),
-                };
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                o.isa = match v.as_str() {
-                    "xpulpv2" => KernelIsa::XpulpV2,
-                    "xpulpnn" => KernelIsa::XpulpNN,
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-            }
-            "--sw-quant" => o.hw_quant = false,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--top" => {
-                let v = it.next().ok_or_else(|| err("--top needs a value"))?;
-                o.top = v.parse().map_err(|_| err(format!("bad count `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
+fn cmd_lint(p: &Args) -> Result<String, CliError> {
+    if p.has("--races") {
+        return cmd_lint_races(p.num("--cores", 1..=xpulpnn::pulp_kernels::cluster::MAX_HARTS)?);
     }
-    if o.isa == KernelIsa::XpulpV2 || o.bits == BitWidth::W8 {
-        o.hw_quant = false; // pv.qnt exists only on sub-byte XpulpNN kernels
-    }
-    Ok(o)
-}
-
-fn cmd_profile(args: &[String]) -> Result<String, CliError> {
-    let o = parse_profile_opts(args)?;
-    let p = xpulpnn::measure::profile_paper_layer(o.bits, o.isa, o.hw_quant, o.seed, o.top)
-        .map_err(|e| fail(e.to_string()))?;
-    Ok(format!("{}\n", p.to_json()))
-}
-
-fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let mut path = None;
-    let mut races = false;
-    let mut cores = 8usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--races" => races = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                cores = v
-                    .parse()
-                    .map_err(|_| err(format!("bad core count `{v}`")))?;
-                if !(1..=xpulpnn::pulp_kernels::cluster::MAX_HARTS).contains(&cores) {
-                    return Err(err(format!(
-                        "core count must be 1..={}",
-                        xpulpnn::pulp_kernels::cluster::MAX_HARTS
-                    )));
-                }
-            }
-            _ if a.starts_with("--") => return Err(err(format!("unknown flag `{a}`"))),
-            _ => {
-                if path.replace(a.as_str()).is_some() {
-                    return Err(err("multiple input files"));
-                }
-            }
-        }
-    }
-    if races {
-        if path.is_some() {
-            return Err(err("--races lints the shipped kernels, not a file"));
-        }
-        return cmd_lint_races(cores);
-    }
-    if let Some(p) = path {
+    if let Some(path) = p.value("<file.s>") {
         // Lint one assembly file. No tensor regions are declared, so
         // memory checks report as unproven rather than diagnostics.
-        let prog = load_program(p)?;
+        let prog = load_program(path)?;
         let config = xpulpnn::xcheck::LintConfig::kernel(vec![]);
         let report = xpulpnn::xcheck::analyze_program(&prog, &config);
         return if report.clean() {
-            Ok(format!("{p}: {}\n", report.summary()))
+            Ok(format!("{path}: {}\n", report.summary()))
         } else {
-            Err(fail(format!("{p}:\n{}", report.render())))
+            Err(fail(format!("{path}:\n{}", report.render())))
         };
     }
     // No file: lint every shipped kernel against its declared regions,
     // plus the eight parallel cluster kernels (8-hart split).
-    let mut kernels = xpulpnn::lint::shipped_kernels().map_err(|e| fail(e.to_string()))?;
-    kernels.extend(xpulpnn::lint::cluster_kernels(8).map_err(|e| fail(e.to_string()))?);
+    let mut kernels = xpulpnn::lint::shipped_kernels().map_err(fail)?;
+    kernels.extend(xpulpnn::lint::cluster_kernels(8).map_err(fail)?);
     let mut out = String::new();
     let mut dirty = 0usize;
     for k in &kernels {
@@ -827,7 +864,7 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
 /// SPMD analyzer — single-core kernels trivially, cluster kernels by
 /// per-hart abstract execution over their dispatch/DMA contracts.
 fn cmd_lint_races(cores: usize) -> Result<String, CliError> {
-    let kernels = xpulpnn::lint::race_kernels(cores).map_err(|e| fail(e.to_string()))?;
+    let kernels = xpulpnn::lint::race_kernels(cores).map_err(fail)?;
     let mut out = String::new();
     let mut dirty = 0usize;
     for k in &kernels {
@@ -849,264 +886,94 @@ fn cmd_lint_races(cores: usize) -> Result<String, CliError> {
     }
 }
 
-/// Parsed options for `conformance`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ConformanceOpts {
-    /// Number of random programs to run in lock step.
-    pub cases: u64,
-    /// Master seed (case `i` runs at seed `S + i`).
-    pub seed: u64,
-    /// Cross-validate the static analyzer instead of the reference
-    /// interpreter: lint each generated program and execute it with a
-    /// dynamic uninit/out-of-bounds oracle attached.
-    pub crossval: bool,
-    /// Lock-step decoded-block replay against uncached reference steps
-    /// instead of the reference interpreter.
-    pub fastpath: bool,
-    /// Cross-validate the static SPMD race verifier against the
-    /// cluster merge's dynamic conflict detector instead.
-    pub races: bool,
-    /// Mix Xrvv vector instructions into the generated stream and
-    /// lock-step the vector unit state too.
-    pub vector: bool,
-}
-
-/// Parses the flags of the `conformance` subcommand.
-pub fn parse_conformance_opts(args: &[String]) -> Result<ConformanceOpts, CliError> {
-    let mut o = ConformanceOpts {
-        cases: 1000,
-        seed: 1,
-        crossval: false,
-        fastpath: false,
-        races: false,
-        vector: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--crossval" => o.crossval = true,
-            "--fastpath" => o.fastpath = true,
-            "--races" => o.races = true,
-            "--vector" => o.vector = true,
-            "--cases" => {
-                let v = it.next().ok_or_else(|| err("--cases needs a value"))?;
-                o.cases = v
-                    .parse()
-                    .map_err(|_| err(format!("bad case count `{v}`")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if (o.crossval as u8) + (o.fastpath as u8) + (o.races as u8) + (o.vector as u8) > 1 {
-        return Err(err(
-            "--vector, --crossval, --fastpath and --races are mutually exclusive",
-        ));
-    }
-    Ok(o)
-}
-
-fn cmd_conformance(args: &[String]) -> Result<String, CliError> {
-    let o = parse_conformance_opts(args)?;
-    if o.races {
-        let r = xpulpnn::races::run_races(o.seed).map_err(|e| fail(e.to_string()))?;
+fn cmd_conformance(p: &Args) -> Result<String, CliError> {
+    let cases: u64 = p.num("--cases", ..)?;
+    let seed: u64 = p.num("--seed", ..)?;
+    if p.has("--races") {
+        let r = xpulpnn::races::run_races(seed).map_err(fail)?;
         return if r.passed() {
             Ok(r.render())
         } else {
             Err(fail(r.render()))
         };
     }
-    if o.fastpath {
+    if p.has("--fastpath") {
         let cfg = xpulpnn::conformance::FastDiffConfig::default();
-        let report = xpulpnn::conformance::run_fast_suite(o.seed, o.cases, &cfg);
+        let report = xpulpnn::conformance::run_fast_suite(seed, cases, &cfg);
         return match report.failure {
             None => Ok(format!(
                 "conformance --fastpath: {} cases, 0 divergences (seed {})\n",
-                report.cases_run, o.seed
+                report.cases_run, seed
             )),
-            Some(f) => Err(fail(f.to_string())),
+            Some(f) => Err(fail(f)),
         };
     }
-    if o.crossval {
+    if p.has("--crossval") {
         let gen = xpulpnn::conformance::GenConfig::default();
-        let r = xpulpnn::conformance::run_crossval(o.seed, o.cases, &gen);
+        let r = xpulpnn::conformance::run_crossval(seed, cases, &gen);
         return if r.ok() {
             Ok(format!("{r}\n"))
         } else {
-            Err(fail(r.to_string()))
+            Err(fail(r))
         };
     }
     let cfg = xpulpnn::conformance::DiffConfig {
-        gen: if o.vector {
+        gen: if p.has("--vector") {
             xpulpnn::conformance::GenConfig::vector()
         } else {
             xpulpnn::conformance::GenConfig::default()
         },
         ..xpulpnn::conformance::DiffConfig::default()
     };
-    let report = xpulpnn::conformance::run_suite(o.seed, o.cases, &cfg);
-    let mode = if o.vector { " --vector" } else { "" };
+    let report = xpulpnn::conformance::run_suite(seed, cases, &cfg);
+    let mode = if p.has("--vector") { " --vector" } else { "" };
     match report.failure {
         None => Ok(format!(
             "conformance{mode}: {} cases, 0 divergences (seed {})\n",
-            report.cases_run, o.seed
+            report.cases_run, seed
         )),
-        Some(f) => Err(fail(f.to_string())),
+        Some(f) => Err(fail(f)),
     }
 }
 
-/// Parsed options for `faults`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct FaultsOpts {
-    /// Master campaign seed.
-    pub seed: u64,
-    /// Trials per kernel variant.
-    pub trials: u64,
-    /// Replay one trial (`variant:trial`) instead of running a campaign.
-    pub replay: Option<(usize, u64)>,
-    /// Run the campaign on a multi-core cluster instead of the
-    /// single-core SoC.
-    pub cluster: bool,
-    /// Harts in the cluster campaign (with `--cluster`).
-    pub cores: usize,
-}
-
-/// Parses the flags of the `faults` subcommand.
-pub fn parse_faults_opts(args: &[String]) -> Result<FaultsOpts, CliError> {
-    let mut o = FaultsOpts {
-        seed: 42,
-        trials: 25,
-        replay: None,
-        cluster: false,
-        cores: 8,
+fn cmd_faults(p: &Args) -> Result<String, CliError> {
+    let seed: u64 = p.num("--seed", ..)?;
+    let trials: u64 = p.num("--trials", ..)?;
+    let report = if p.has("--cluster") {
+        let cores = p.num("--cores", 1..=8)?;
+        xpulpnn::faultsim::run_cluster_campaign(seed, trials, cores).map(|r| r.to_string())
+    } else if let Some(spec) = p.value("--replay") {
+        let (variant, trial) = replay_spec(spec)?;
+        xpulpnn::faultsim::replay(seed, variant, trial).map(|r| r.to_string())
+    } else {
+        xpulpnn::faultsim::run_campaign(seed, trials).map(|r| r.to_string())
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cluster" => o.cluster = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                o.cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--trials" => {
-                let v = it.next().ok_or_else(|| err("--trials needs a value"))?;
-                o.trials = v
-                    .parse()
-                    .map_err(|_| err(format!("bad trial count `{v}`")))?;
-            }
-            "--replay" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--replay needs variant:trial"))?;
-                let (variant, trial) = v
-                    .split_once(':')
-                    .ok_or_else(|| err(format!("bad replay spec `{v}` (want variant:trial)")))?;
-                let variant = variant
-                    .parse()
-                    .map_err(|_| err(format!("bad variant `{variant}`")))?;
-                let trial = trial
-                    .parse()
-                    .map_err(|_| err(format!("bad trial `{trial}`")))?;
-                o.replay = Some((variant, trial));
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if o.cluster && o.replay.is_some() {
-        return Err(err("--replay is single-core only (drop --cluster)"));
-    }
-    Ok(o)
+    report.map_err(fail)
 }
 
-fn cmd_faults(args: &[String]) -> Result<String, CliError> {
-    let o = parse_faults_opts(args)?;
-    if o.cluster {
-        let r = xpulpnn::faultsim::run_cluster_campaign(o.seed, o.trials, o.cores).map_err(fail)?;
-        return Ok(format!("{r}"));
-    }
-    match o.replay {
-        Some((variant, trial)) => {
-            let r = xpulpnn::faultsim::replay(o.seed, variant, trial).map_err(fail)?;
-            Ok(format!("{r}"))
-        }
-        None => {
-            let r = xpulpnn::faultsim::run_campaign(o.seed, o.trials).map_err(fail)?;
-            Ok(format!("{r}"))
-        }
-    }
+/// A `--replay` spec, `variant:trial`.
+fn replay_spec(v: &str) -> Result<(usize, u64), CliError> {
+    let (variant, trial) = v
+        .split_once(':')
+        .ok_or_else(|| err(format!("bad --replay `{v}` (want V:T)")))?;
+    Ok((number("variant", variant, ..)?, number("trial", trial, ..)?))
 }
 
-/// Parsed options for `serve`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ServeOpts {
-    /// Worker threads in the pool.
-    pub workers: usize,
-    /// Seed for the smoke-request inputs.
-    pub seed: u64,
-    /// Template weight seed.
-    pub weight_seed: u64,
-}
-
-/// Parses the flags of the `serve` subcommand.
-pub fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, CliError> {
-    let mut o = ServeOpts {
-        workers: 2,
-        seed: 1,
-        weight_seed: 42,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                o.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&o.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                o.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(o)
-}
-
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+fn cmd_serve(p: &Args) -> Result<String, CliError> {
     use xpulpnn::serve::{PoolConfig, Request, ServePool, Variant};
-    let o = parse_serve_opts(args)?;
+    let workers: usize = p.num("--workers", 1..=16)?;
+    let seed: u64 = p.num("--seed", ..)?;
     let pool = ServePool::start(PoolConfig {
-        workers: o.workers,
-        weight_seed: o.weight_seed,
+        workers,
+        weight_seed: p.num("--weight-seed", ..)?,
         ..PoolConfig::default()
     })
-    .map_err(|e| fail(e.to_string()))?;
+    .map_err(fail)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "pool   : {} worker(s), each forked from the 4 staged templates",
-        o.workers
+        workers
     );
     for (id, &variant) in Variant::ALL.iter().enumerate() {
         let t = pool.template(variant);
@@ -1121,14 +988,14 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         // A deterministic, range-valid smoke input per variant.
         let span = u64::from(t.max_activation() as u16) + 1;
         let input = (0..t.input_len() as u64)
-            .map(|i| ((o.seed.wrapping_add(i * 7)) % span) as i16)
+            .map(|i| ((seed.wrapping_add(i * 7)) % span) as i16)
             .collect();
         pool.submit_blocking(Request {
             id: id as u64,
             variant,
             input,
         })
-        .map_err(|e| fail(e.to_string()))?;
+        .map_err(fail)?;
     }
     let report = pool.shutdown();
     for r in &report.responses {
@@ -1149,94 +1016,29 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parsed options for `loadgen`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct LoadgenOpts {
-    /// The serving-layer loadgen configuration.
-    pub cfg: xpulpnn::serve::LoadgenConfig,
-    /// Directory receiving `BENCH_serving.json`.
-    pub out_dir: String,
-}
-
-/// Parses the flags of the `loadgen` subcommand.
-pub fn parse_loadgen_opts(args: &[String]) -> Result<LoadgenOpts, CliError> {
+/// `loadgen`'s flags over the library's default configuration.
+fn loadgen_config(p: &Args) -> Result<xpulpnn::serve::LoadgenConfig, CliError> {
     use xpulpnn::serve::{LoadgenConfig, ServeFaults};
-    let mut cfg = LoadgenConfig::default();
-    let mut out_dir = ".".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                cfg.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--requests" => {
-                let v = it.next().ok_or_else(|| err("--requests needs a value"))?;
-                cfg.requests = v
-                    .parse()
-                    .map_err(|_| err(format!("bad request count `{v}`")))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                cfg.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&cfg.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--batch" => {
-                let v = it.next().ok_or_else(|| err("--batch needs a value"))?;
-                cfg.batch_max = v
-                    .parse()
-                    .map_err(|_| err(format!("bad batch size `{v}`")))?;
-                if cfg.batch_max == 0 {
-                    return Err(err("--batch must be at least 1"));
-                }
-            }
-            "--queue" => {
-                let v = it.next().ok_or_else(|| err("--queue needs a value"))?;
-                cfg.queue_capacity = v
-                    .parse()
-                    .map_err(|_| err(format!("bad queue capacity `{v}`")))?;
-                if cfg.queue_capacity == 0 {
-                    return Err(err("--queue must be at least 1"));
-                }
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                cfg.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--faults" => {
-                let v = it.next().ok_or_else(|| err("--faults needs a seed"))?;
-                let seed = v
-                    .parse()
-                    .map_err(|_| err(format!("bad fault seed `{v}`")))?;
-                cfg.faults = Some(ServeFaults::always(seed));
-            }
-            "--gap-us" => {
-                let v = it.next().ok_or_else(|| err("--gap-us needs a value"))?;
-                cfg.mean_gap_us = v.parse().map_err(|_| err(format!("bad gap `{v}`")))?;
-            }
-            "--no-warm" => cfg.warm_reruns = false,
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(LoadgenOpts { cfg, out_dir })
+    let d = LoadgenConfig::default();
+    Ok(LoadgenConfig {
+        seed: p.opt_num("--seed", ..)?.unwrap_or(d.seed),
+        requests: p.opt_num("--requests", ..)?.unwrap_or(d.requests),
+        workers: p.opt_num("--workers", 1..=16)?.unwrap_or(d.workers),
+        queue_capacity: p.opt_num("--queue", 1..)?.unwrap_or(d.queue_capacity),
+        batch_max: p.opt_num("--batch", 1..)?.unwrap_or(d.batch_max),
+        weight_seed: p.opt_num("--weight-seed", ..)?.unwrap_or(d.weight_seed),
+        warm_reruns: d.warm_reruns && !p.has("--no-warm"),
+        faults: p
+            .opt_num("--faults", ..)?
+            .map(ServeFaults::always)
+            .or(d.faults),
+        mean_gap_us: p.opt_num("--gap-us", ..)?.unwrap_or(d.mean_gap_us),
+    })
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
-    let o = parse_loadgen_opts(args)?;
-    let rec = xpulpnn::bench::ServingRecord::run(o.cfg).map_err(|e| fail(e.to_string()))?;
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_serving.json");
-    std::fs::write(&path, format!("{}\n", rec.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+fn cmd_loadgen(p: &Args) -> Result<String, CliError> {
+    let rec = xpulpnn::bench::ServingRecord::run(loadgen_config(p)?).map_err(fail)?;
+    let wrote = write_artifact(p, "BENCH_serving.json", &rec.to_json())?;
     let r = &rec.report;
     let mut out = String::new();
     let _ = writeln!(
@@ -1264,65 +1066,23 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
         "throughput: {:.1} req/s sustained over {:.3}s ({} cold forks, {} warm runs)",
         r.req_per_sec, r.wall_secs, r.stats.cold_forks, r.stats.warm_runs
     );
-    let _ = writeln!(out, "wrote {}", path.display());
+    out += &wrote;
     Ok(out)
 }
 
-/// Parsed options for `soak`.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SoakOpts {
-    /// The resilience-campaign configuration.
-    pub cfg: xpulpnn::serve::SoakConfig,
-    /// Directory receiving `BENCH_soak.json`.
-    pub out_dir: String,
+/// `soak`'s flags over the library's default configuration.
+fn soak_config(p: &Args) -> Result<xpulpnn::serve::SoakConfig, CliError> {
+    let d = xpulpnn::serve::SoakConfig::default();
+    Ok(xpulpnn::serve::SoakConfig {
+        seed: p.opt_num("--seed", ..)?.unwrap_or(d.seed),
+        workers: p.opt_num("--workers", 1..=16)?.unwrap_or(d.workers),
+        scale: p.opt_num("--scale", 1..)?.unwrap_or(d.scale),
+        weight_seed: p.opt_num("--weight-seed", ..)?.unwrap_or(d.weight_seed),
+    })
 }
 
-/// Parses the flags of the `soak` subcommand.
-pub fn parse_soak_opts(args: &[String]) -> Result<SoakOpts, CliError> {
-    let mut cfg = xpulpnn::serve::SoakConfig::default();
-    let mut out_dir = ".".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                cfg.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                cfg.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&cfg.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--scale" => {
-                let v = it.next().ok_or_else(|| err("--scale needs a value"))?;
-                cfg.scale = v.parse().map_err(|_| err(format!("bad scale `{v}`")))?;
-                if cfg.scale == 0 {
-                    return Err(err("--scale must be at least 1"));
-                }
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                cfg.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(SoakOpts { cfg, out_dir })
-}
-
-fn cmd_soak(args: &[String]) -> Result<String, CliError> {
-    let o = parse_soak_opts(args)?;
-    let rec = xpulpnn::bench::SoakRecord::run(o.cfg).map_err(|e| fail(e.to_string()))?;
+fn cmd_soak(p: &Args) -> Result<String, CliError> {
+    let rec = xpulpnn::bench::SoakRecord::run(soak_config(p)?).map_err(fail)?;
     let r = &rec.report;
     // The campaign's own invariants gate the artifact: a lost request
     // or a stuck breaker is a runtime failure, not a report detail.
@@ -1337,9 +1097,7 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     if !r.breakers_closed {
         return Err(fail("soak ended with an open circuit breaker"));
     }
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_soak.json");
-    std::fs::write(&path, format!("{}\n", rec.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    let wrote = write_artifact(p, "BENCH_soak.json", &rec.to_json())?;
     let c = &r.counters;
     let mut out = String::new();
     let _ = writeln!(
@@ -1383,7 +1141,7 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "digest    : {:016x}", r.digest);
     let _ = writeln!(out, "wall      : {:.3}s", r.wall_secs);
-    let _ = writeln!(out, "wrote {}", path.display());
+    out += &wrote;
     Ok(out)
 }
 
@@ -1393,27 +1151,17 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
 ///
 /// [`CliError`] with a message for the user.
 pub fn dispatch(args: &[String]) -> Result<String, CliError> {
-    let (cmd, rest) = args
+    let (name, rest) = args
         .split_first()
         .ok_or_else(|| err("missing subcommand"))?;
-    match cmd.as_str() {
-        "run" => cmd_run(rest),
-        "cluster" => cmd_cluster(rest),
-        "bench" => cmd_bench(rest),
-        "dis" => cmd_dis(rest),
-        "codesize" => cmd_codesize(rest),
-        "sweep" => cmd_sweep(rest),
-        "report" => cmd_report(rest),
-        "profile" => cmd_profile(rest),
-        "lint" => cmd_lint(rest),
-        "conformance" => cmd_conformance(rest),
-        "faults" => cmd_faults(rest),
-        "serve" => cmd_serve(rest),
-        "loadgen" => cmd_loadgen(rest),
-        "soak" => cmd_soak(rest),
-        "--help" | "-h" | "help" => Ok(format!("{USAGE}\n")),
-        other => Err(err(format!("unknown subcommand `{other}`"))),
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return Ok(format!("{USAGE}\n"));
     }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| err(format!("unknown subcommand `{name}`")))?;
+    (cmd.run)(&parse_args(cmd, rest)?)
 }
 
 #[cfg(test)]
@@ -1424,83 +1172,140 @@ mod tests {
         args.iter().map(std::string::ToString::to_string).collect()
     }
 
+    /// `argv` parsed against the `cmd` table.
+    fn args(cmd: &str, argv: &[&str]) -> Result<Args, CliError> {
+        let cmd = COMMANDS.iter().find(|c| c.name == cmd).unwrap();
+        parse_args(cmd, &v(argv))
+    }
+
+    /// Whether `dispatch` rejects `args` as a usage error.
+    fn usage_error(args: &[&str]) -> bool {
+        dispatch(&v(args)).is_err_and(|e| e.usage)
+    }
+
+    /// Every table entry appears in its subcommand's USAGE synopsis as
+    /// declared (the same metavar, nested under its mode), and every
+    /// `--flag` the entry mentions is declared, so help text and parser
+    /// cannot drift apart.
+    #[test]
+    fn flag_table_matches_usage() {
+        let entries: Vec<&str> = USAGE.split("\n  xpulpnn ").skip(1).collect();
+        assert_eq!(entries.len(), COMMANDS.len());
+        for cmd in COMMANDS {
+            let entry = entries
+                .iter()
+                .find(|e| e.split_whitespace().next() == Some(cmd.name))
+                .unwrap_or_else(|| panic!("no USAGE entry for `{}`", cmd.name));
+            // The synopsis: the first line, after the subcommand, plus its
+            // `[...]` continuation lines. Each bracket holds one spec.
+            let mut lines = entry.lines();
+            let first = &lines.next().unwrap()[cmd.name.len()..];
+            let synopsis = std::iter::once(first)
+                .chain(lines.take_while(|l| l.trim_start().starts_with('[')))
+                .collect::<Vec<_>>()
+                .join(" ");
+            let mut specs: Vec<&str> = synopsis
+                .split(['[', ']'])
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .collect();
+            let mut declared: Vec<&str> = cmd.flags.iter().map(|f| f.spec).collect();
+            specs.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(declared, specs, "`{}` table vs USAGE synopsis", cmd.name);
+
+            let names: Vec<&str> = cmd.flags.iter().map(Flag::name).collect();
+            for word in entry.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if word.starts_with("--") {
+                    assert!(
+                        names.contains(&word),
+                        "`{} {word}` is not declared",
+                        cmd.name
+                    );
+                }
+            }
+            for f in cmd.flags {
+                // `[--races [--cores N]]`: nested exactly when declared under.
+                let nested = synopsis
+                    .find(&format!(" [{}]]", f.spec))
+                    .and_then(|i| synopsis[..i].rsplit('[').next());
+                assert_eq!(f.under, nested, "`{} {}` mode", cmd.name, f.spec);
+                if let Some(d) = f.default.filter(|d| d.starts_with("--")) {
+                    assert!(names.contains(&d), "{}: default {d}", cmd.name);
+                }
+            }
+            for name in cmd.exclusive {
+                assert!(names.contains(name), "{}: exclusive {name}", cmd.name);
+            }
+        }
+    }
+
     #[test]
     fn run_opts_defaults_and_flags() {
-        let o = parse_run_opts(&v(&["prog.s"])).unwrap();
-        assert_eq!(o.path, "prog.s");
-        assert_eq!(o.isa, IsaConfig::xpulpnn());
-        assert_eq!(o.max_cycles, 100_000_000);
+        let a = args("run", &["prog.s"]).unwrap();
+        assert_eq!(a.file().unwrap(), "prog.s");
+        assert_eq!(run_isa(&a).unwrap(), IsaConfig::xpulpnn());
+        assert_eq!(a.num::<u64>("--max-cycles", ..).unwrap(), 100_000_000);
 
-        let o = parse_run_opts(&v(&["--isa", "xpulpv2", "p.s", "--max-cycles", "5"])).unwrap();
-        assert_eq!(o.isa, IsaConfig::xpulpv2());
-        assert_eq!(o.max_cycles, 5);
-        assert_eq!(o.path, "p.s");
-        assert_eq!(o.cores, 1);
+        let a = args("run", &["--isa", "xpulpv2", "p.s", "--max-cycles", "5"]).unwrap();
+        assert_eq!(run_isa(&a).unwrap(), IsaConfig::xpulpv2());
+        assert_eq!(a.num::<u64>("--max-cycles", ..).unwrap(), 5);
+        assert_eq!(a.file().unwrap(), "p.s");
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 1);
 
-        let o = parse_run_opts(&v(&["p.s", "--cores", "4"])).unwrap();
-        assert_eq!(o.cores, 4);
+        let a = args("run", &["p.s", "--cores", "4"]).unwrap();
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 4);
     }
 
     #[test]
     fn run_opts_errors() {
-        assert!(parse_run_opts(&v(&[])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "b.s"])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "--isa", "armv7"])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "--max-cycles", "lots"])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "--bogus"])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "--cores", "9"])).is_err());
-        assert!(parse_run_opts(&v(&["a.s", "--cores", "0"])).is_err());
+        assert!(usage_error(&["run"]));
+        assert!(usage_error(&["run", "a.s", "b.s"]));
+        assert!(usage_error(&["run", "a.s", "--isa", "armv7"]));
+        assert!(usage_error(&["run", "a.s", "--max-cycles", "lots"]));
+        assert!(usage_error(&["run", "a.s", "--bogus"]));
+        assert!(usage_error(&["run", "a.s", "--cores", "9"]));
+        assert!(usage_error(&["run", "a.s", "--cores", "0"]));
         // Tracing interleaves harts unreadably; reject the combination.
-        assert!(parse_run_opts(&v(&["a.s", "--cores", "2", "--trace"])).is_err());
+        assert!(usage_error(&["run", "a.s", "--cores", "2", "--trace"]));
     }
 
     #[test]
     fn conformance_opts_defaults_and_flags() {
-        let o = parse_conformance_opts(&[]).unwrap();
-        assert_eq!(
-            o,
-            ConformanceOpts {
-                cases: 1000,
-                seed: 1,
-                crossval: false,
-                fastpath: false,
-                races: false,
-                vector: false,
-            }
-        );
+        const MODES: [&str; 4] = ["--crossval", "--fastpath", "--races", "--vector"];
+        let a = args("conformance", &[]).unwrap();
+        assert_eq!(a.num::<u64>("--cases", ..).unwrap(), 1000);
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 1);
+        assert!(MODES.iter().all(|m| !a.has(m)));
 
-        let o =
-            parse_conformance_opts(&v(&["--cases", "25", "--seed", "7", "--crossval"])).unwrap();
-        assert_eq!(
-            o,
-            ConformanceOpts {
-                cases: 25,
-                seed: 7,
-                crossval: true,
-                fastpath: false,
-                races: false,
-                vector: false,
-            }
-        );
+        let a = args(
+            "conformance",
+            &["--cases", "25", "--seed", "7", "--crossval"],
+        )
+        .unwrap();
+        assert_eq!(a.num::<u64>("--cases", ..).unwrap(), 25);
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 7);
+        assert!(a.has("--crossval"));
+        assert!(MODES[1..].iter().all(|m| !a.has(m)));
 
-        let o = parse_conformance_opts(&v(&["--vector", "--cases", "12"])).unwrap();
-        assert!(o.vector);
-        assert_eq!(o.cases, 12);
+        let a = args("conformance", &["--vector", "--cases", "12"]).unwrap();
+        assert!(a.has("--vector"));
+        assert_eq!(a.num::<u64>("--cases", ..).unwrap(), 12);
 
-        let o = parse_conformance_opts(&v(&["--fastpath", "--cases", "5"])).unwrap();
-        assert!(o.fastpath);
-        assert_eq!(o.cases, 5);
+        let a = args("conformance", &["--fastpath", "--cases", "5"]).unwrap();
+        assert!(a.has("--fastpath"));
+        assert_eq!(a.num::<u64>("--cases", ..).unwrap(), 5);
 
-        let o = parse_conformance_opts(&v(&["--races", "--seed", "9"])).unwrap();
-        assert!(o.races);
-        assert_eq!(o.seed, 9);
+        let a = args("conformance", &["--races", "--seed", "9"]).unwrap();
+        assert!(a.has("--races"));
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 9);
 
-        assert!(parse_conformance_opts(&v(&["--cases"])).is_err());
-        assert!(parse_conformance_opts(&v(&["--cases", "many"])).is_err());
-        assert!(parse_conformance_opts(&v(&["--bogus"])).is_err());
-        assert!(parse_conformance_opts(&v(&["--crossval", "--fastpath"])).is_err());
-        assert!(parse_conformance_opts(&v(&["--crossval", "--races"])).is_err());
-        assert!(parse_conformance_opts(&v(&["--fastpath", "--races"])).is_err());
+        assert!(args("conformance", &["--cases"]).is_err());
+        assert!(usage_error(&["conformance", "--cases", "many"]));
+        assert!(args("conformance", &["--bogus"]).is_err());
+        assert!(args("conformance", &["--crossval", "--fastpath"]).is_err());
+        assert!(args("conformance", &["--crossval", "--races"]).is_err());
+        assert!(args("conformance", &["--fastpath", "--races"]).is_err());
     }
 
     #[test]
@@ -1554,76 +1359,89 @@ mod tests {
 
     #[test]
     fn serve_and_loadgen_opts_defaults_and_flags() {
-        let o = parse_serve_opts(&[]).unwrap();
+        let serve = |a: &Args| {
+            (
+                a.num::<usize>("--workers", 1..=16).unwrap(),
+                a.num::<u64>("--seed", ..).unwrap(),
+                a.num::<u64>("--weight-seed", ..).unwrap(),
+            )
+        };
+        assert_eq!(serve(&args("serve", &[]).unwrap()), (2, 1, 42));
+        let a = args("serve", &["--workers", "8", "--seed", "7"]).unwrap();
+        assert_eq!(serve(&a), (8, 7, 42));
+
+        let a = args("loadgen", &[]).unwrap();
         assert_eq!(
-            o,
-            ServeOpts {
-                workers: 2,
-                seed: 1,
-                weight_seed: 42,
-            }
+            loadgen_config(&a).unwrap(),
+            xpulpnn::serve::LoadgenConfig::default()
         );
-        let o = parse_serve_opts(&v(&["--workers", "8", "--seed", "7"])).unwrap();
-        assert_eq!((o.workers, o.seed), (8, 7));
-
-        let o = parse_loadgen_opts(&[]).unwrap();
-        assert_eq!(o.cfg, xpulpnn::serve::LoadgenConfig::default());
-        assert_eq!(o.out_dir, ".");
-        let o = parse_loadgen_opts(&v(&[
-            "--seed",
-            "9",
-            "--requests",
-            "500",
-            "--workers",
-            "8",
-            "--batch",
-            "4",
-            "--queue",
-            "32",
-            "--faults",
-            "13",
-            "--gap-us",
-            "50",
-            "--no-warm",
-            "--out",
-            "/tmp",
-        ]))
+        assert_eq!(a.get("--out"), ".");
+        let a = args(
+            "loadgen",
+            &[
+                "--seed",
+                "9",
+                "--requests",
+                "500",
+                "--workers",
+                "8",
+                "--batch",
+                "4",
+                "--queue",
+                "32",
+                "--faults",
+                "13",
+                "--gap-us",
+                "50",
+                "--no-warm",
+                "--out",
+                "/tmp",
+            ],
+        )
         .unwrap();
-        assert_eq!(o.cfg.seed, 9);
-        assert_eq!(o.cfg.requests, 500);
-        assert_eq!(o.cfg.workers, 8);
-        assert_eq!(o.cfg.batch_max, 4);
-        assert_eq!(o.cfg.queue_capacity, 32);
-        assert_eq!(o.cfg.faults, Some(xpulpnn::serve::ServeFaults::always(13)));
-        assert_eq!(o.cfg.mean_gap_us, 50);
-        assert!(!o.cfg.warm_reruns);
-        assert_eq!(o.out_dir, "/tmp");
+        let cfg = loadgen_config(&a).unwrap();
+        assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.requests, 500);
+        assert_eq!(cfg.workers, 8);
+        assert_eq!(cfg.batch_max, 4);
+        assert_eq!(cfg.queue_capacity, 32);
+        assert_eq!(cfg.faults, Some(xpulpnn::serve::ServeFaults::always(13)));
+        assert_eq!(cfg.mean_gap_us, 50);
+        assert!(!cfg.warm_reruns);
+        assert_eq!(a.get("--out"), "/tmp");
 
-        let o = parse_soak_opts(&[]).unwrap();
-        assert_eq!(o.cfg, xpulpnn::serve::SoakConfig::default());
-        assert_eq!(o.out_dir, ".");
-        let o = parse_soak_opts(&v(&[
-            "--seed",
-            "3",
-            "--workers",
-            "4",
-            "--scale",
-            "8",
-            "--weight-seed",
-            "11",
-            "--out",
-            "/tmp",
-        ]))
+        let a = args("soak", &[]).unwrap();
+        assert_eq!(
+            soak_config(&a).unwrap(),
+            xpulpnn::serve::SoakConfig::default()
+        );
+        assert_eq!(a.get("--out"), ".");
+        let a = args(
+            "soak",
+            &[
+                "--seed",
+                "3",
+                "--workers",
+                "4",
+                "--scale",
+                "8",
+                "--weight-seed",
+                "11",
+                "--out",
+                "/tmp",
+            ],
+        )
         .unwrap();
-        assert_eq!(o.cfg.seed, 3);
-        assert_eq!(o.cfg.workers, 4);
-        assert_eq!(o.cfg.scale, 8);
-        assert_eq!(o.cfg.weight_seed, 11);
-        assert_eq!(o.out_dir, "/tmp");
+        let cfg = soak_config(&a).unwrap();
+        assert_eq!(cfg.seed, 3);
+        assert_eq!(cfg.workers, 4);
+        assert_eq!(cfg.scale, 8);
+        assert_eq!(cfg.weight_seed, 11);
+        assert_eq!(a.get("--out"), "/tmp");
 
-        assert!(parse_serve_opts(&v(&["--bogus"])).is_err());
-        assert!(parse_loadgen_opts(&v(&["--bogus"])).is_err());
-        assert!(parse_soak_opts(&v(&["--bogus"])).is_err());
+        assert!(args("serve", &["--bogus"]).is_err());
+        assert!(args("loadgen", &["--bogus"]).is_err());
+        assert!(args("soak", &["--bogus"]).is_err());
     }
 
     /// End-to-end `loadgen` smoke: a tiny seeded run prints the exact
@@ -1755,6 +1573,14 @@ mod tests {
             &["soak", "--scale", "0"],
             &["soak", "--scale", "lots"],
             &["soak", "--weight-seed", "-1"],
+            // One positional and no flags.
+            &["dis", "p.s", "extra", "--bogus"],
+            &["codesize", "p.s", "p.s"],
+            // Flags outside the mode that takes them.
+            &["faults", "--cores", "4", "--trials", "0"],
+            &["lint", "p.s", "--cores", "4"],
+            &["lint", "--cores", "4"],
+            &["bench", "--json", "--host"],
         ];
         for args in cases {
             let e = dispatch(&v(args)).expect_err(&format!("{args:?} must be rejected"));
@@ -1837,25 +1663,28 @@ mod tests {
 
     #[test]
     fn profile_opts_defaults_and_flags() {
-        let o = parse_profile_opts(&v(&[])).unwrap();
-        assert_eq!(o.bits, BitWidth::W4);
-        assert_eq!(o.isa, KernelIsa::XpulpNN);
-        assert!(o.hw_quant);
-        assert_eq!(o.top, 10);
+        use xpulpnn::QuantMode::HardwareQnt;
+        let a = args("profile", &[]).unwrap();
+        let cfg = paper_kernel(&a).unwrap();
+        assert_eq!(cfg.bits, BitWidth::W4);
+        assert_eq!(cfg.isa, KernelIsa::XpulpNN);
+        assert_eq!(cfg.quant, HardwareQnt);
+        assert_eq!(a.num::<usize>("--top", ..).unwrap(), 10);
 
-        let o = parse_profile_opts(&v(&["--bits", "2", "--sw-quant", "--top", "3"])).unwrap();
-        assert_eq!(o.bits, BitWidth::W2);
-        assert!(!o.hw_quant);
-        assert_eq!(o.top, 3);
+        let a = args("profile", &["--bits", "2", "--sw-quant", "--top", "3"]).unwrap();
+        let cfg = paper_kernel(&a).unwrap();
+        assert_eq!(cfg.bits, BitWidth::W2);
+        assert_ne!(cfg.quant, HardwareQnt);
+        assert_eq!(a.num::<usize>("--top", ..).unwrap(), 3);
 
         // pv.qnt silently drops where it cannot exist.
-        let o = parse_profile_opts(&v(&["--isa", "xpulpv2"])).unwrap();
-        assert!(!o.hw_quant);
-        let o = parse_profile_opts(&v(&["--bits", "8"])).unwrap();
-        assert!(!o.hw_quant);
+        let a = args("profile", &["--isa", "xpulpv2"]).unwrap();
+        assert_ne!(paper_kernel(&a).unwrap().quant, HardwareQnt);
+        let a = args("profile", &["--bits", "8"]).unwrap();
+        assert_ne!(paper_kernel(&a).unwrap().quant, HardwareQnt);
 
-        assert!(parse_profile_opts(&v(&["--bits", "3"])).is_err());
-        assert!(parse_profile_opts(&v(&["--frob"])).is_err());
+        assert!(paper_kernel(&args("profile", &["--bits", "3"]).unwrap()).is_err());
+        assert!(args("profile", &["--frob"]).is_err());
     }
 
     #[test]
@@ -1886,35 +1715,33 @@ mod tests {
 
     #[test]
     fn faults_opts_defaults_and_flags() {
-        let o = parse_faults_opts(&[]).unwrap();
-        assert_eq!(
-            o,
-            FaultsOpts {
-                seed: 42,
-                trials: 25,
-                replay: None,
-                cluster: false,
-                cores: 8,
-            }
-        );
+        let a = args("faults", &[]).unwrap();
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 42);
+        assert_eq!(a.num::<u64>("--trials", ..).unwrap(), 25);
+        assert_eq!(a.value("--replay"), None);
+        assert!(!a.has("--cluster"));
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 8);
 
-        let o = parse_faults_opts(&v(&["--cluster", "--cores", "2"])).unwrap();
-        assert!(o.cluster);
-        assert_eq!(o.cores, 2);
+        let a = args("faults", &["--cluster", "--cores", "2"]).unwrap();
+        assert!(a.has("--cluster"));
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 2);
         // Replay lock-steps a single core; it has no cluster form.
-        assert!(parse_faults_opts(&v(&["--cluster", "--replay", "0:0"])).is_err());
+        assert!(args("faults", &["--cluster", "--replay", "0:0"]).is_err());
 
-        let o =
-            parse_faults_opts(&v(&["--seed", "7", "--trials", "3", "--replay", "4:12"])).unwrap();
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.trials, 3);
-        assert_eq!(o.replay, Some((4, 12)));
+        let a = args(
+            "faults",
+            &["--seed", "7", "--trials", "3", "--replay", "4:12"],
+        )
+        .unwrap();
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 7);
+        assert_eq!(a.num::<u64>("--trials", ..).unwrap(), 3);
+        assert_eq!(replay_spec(a.get("--replay")), Ok((4, 12)));
 
-        assert!(parse_faults_opts(&v(&["--replay"])).is_err());
-        assert!(parse_faults_opts(&v(&["--replay", "4"])).is_err());
-        assert!(parse_faults_opts(&v(&["--replay", "a:b"])).is_err());
-        assert!(parse_faults_opts(&v(&["--trials", "many"])).is_err());
-        assert!(parse_faults_opts(&v(&["--bogus"])).is_err());
+        assert!(args("faults", &["--replay"]).is_err());
+        assert!(usage_error(&["faults", "--replay", "4"]));
+        assert!(usage_error(&["faults", "--replay", "a:b"]));
+        assert!(usage_error(&["faults", "--trials", "many"]));
+        assert!(args("faults", &["--bogus"]).is_err());
     }
 
     #[test]
@@ -1957,42 +1784,51 @@ mod tests {
 
     #[test]
     fn cluster_opts_defaults_and_flags() {
-        let o = parse_cluster_opts(&[]).unwrap();
-        assert_eq!(o.cores, 8);
-        assert_eq!(o.bits, BitWidth::W4);
-        assert_eq!(o.isa, KernelIsa::XpulpNN);
-        assert!(o.hw_quant);
-        assert_eq!(o.threads, 8); // defaults to --cores
+        use xpulpnn::QuantMode::HardwareQnt;
+        let a = args("cluster", &[]).unwrap();
+        let cfg = paper_kernel(&a).unwrap();
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 8);
+        assert_eq!(cfg.bits, BitWidth::W4);
+        assert_eq!(cfg.isa, KernelIsa::XpulpNN);
+        assert_eq!(cfg.quant, HardwareQnt);
+        assert_eq!(a.num::<usize>("--threads", 1..).unwrap(), 8); // defaults to --cores
 
-        let o = parse_cluster_opts(&v(&["--cores", "2", "--bits", "8", "--threads", "1"])).unwrap();
-        assert_eq!(o.cores, 2);
-        assert_eq!(o.bits, BitWidth::W8);
-        assert_eq!(o.threads, 1);
-        assert!(!o.hw_quant); // pv.qnt drops at 8 bits
+        let a = args(
+            "cluster",
+            &["--cores", "2", "--bits", "8", "--threads", "1"],
+        )
+        .unwrap();
+        let cfg = paper_kernel(&a).unwrap();
+        assert_eq!(a.num::<usize>("--cores", 1..=8).unwrap(), 2);
+        assert_eq!(cfg.bits, BitWidth::W8);
+        assert_eq!(a.num::<usize>("--threads", 1..).unwrap(), 1);
+        assert_ne!(cfg.quant, HardwareQnt); // pv.qnt drops at 8 bits
+        let a = args("cluster", &["--cores", "2"]).unwrap();
+        assert_eq!(a.num::<usize>("--threads", 1..).unwrap(), 2);
 
-        assert!(parse_cluster_opts(&v(&["--cores", "9"])).is_err());
-        assert!(parse_cluster_opts(&v(&["--threads", "0"])).is_err());
-        assert!(parse_cluster_opts(&v(&["--bogus"])).is_err());
+        assert!(usage_error(&["cluster", "--cores", "9"]));
+        assert!(usage_error(&["cluster", "--threads", "0"]));
+        assert!(args("cluster", &["--bogus"]).is_err());
     }
 
     #[test]
     fn bench_opts_defaults_and_flags() {
-        let o = parse_bench_opts(&[]).unwrap();
-        assert!(!o.json);
-        assert!(!o.host);
-        assert_eq!(o.seed, 42);
-        assert_eq!(o.out_dir, ".");
+        let a = args("bench", &[]).unwrap();
+        assert!(!a.has("--json"));
+        assert!(!a.has("--host"));
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 42);
+        assert_eq!(a.get("--out"), ".");
 
-        let o = parse_bench_opts(&v(&["--host"])).unwrap();
-        assert!(o.host);
+        let a = args("bench", &["--host"]).unwrap();
+        assert!(a.has("--host"));
 
-        let o = parse_bench_opts(&v(&["--json", "--seed", "7", "--out", "/tmp/x"])).unwrap();
-        assert!(o.json);
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.out_dir, "/tmp/x");
+        let a = args("bench", &["--json", "--seed", "7", "--out", "/tmp/x"]).unwrap();
+        assert!(a.has("--json"));
+        assert_eq!(a.num::<u64>("--seed", ..).unwrap(), 7);
+        assert_eq!(a.get("--out"), "/tmp/x");
 
-        assert!(parse_bench_opts(&v(&["--out"])).is_err());
-        assert!(parse_bench_opts(&v(&["--bogus"])).is_err());
+        assert!(args("bench", &["--out"]).is_err());
+        assert!(args("bench", &["--bogus"]).is_err());
     }
 
     #[test]

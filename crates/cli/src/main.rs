@@ -1,13 +1,6 @@
 //! `xpulpnn` — the command-line front door to the reproduction.
 //!
-//! ```text
-//! xpulpnn run <file.s> [--isa rv32im|xpulpv2|xpulpnn] [--max-cycles N]
-//! xpulpnn dis <file.s>
-//! xpulpnn codesize <file.s>
-//! xpulpnn sweep [--seed N]
-//! xpulpnn report [--seed N]
-//! xpulpnn profile [--bits 8|4|2] [--isa xpulpv2|xpulpnn] [--sw-quant] [--seed N] [--top N]
-//! ```
+//! `xpulpnn --help` prints every subcommand and its flags (`cli::USAGE`).
 
 use std::process::ExitCode;
 

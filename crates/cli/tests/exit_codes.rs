@@ -1,5 +1,6 @@
-//! Process-level exit codes of the `xpulpnn` binary: runtime failures
-//! exit 1 with an `error: …` line, never 101 from a panic.
+//! Process-level exit codes of the `xpulpnn` binary: usage errors exit 2
+//! with an `error: …` line and the usage text; runtime failures exit 1
+//! with an `error: …` line alone, never 101 from a panic.
 
 use std::process::Command;
 
@@ -34,4 +35,31 @@ fn wrapping_accesses_exit_1_with_a_bus_error_on_any_core_count() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A malformed invocation exits 2 and prints the usage text after its
+/// error; a runtime failure exits 1 and keeps its diagnostic unburied.
+#[test]
+fn usage_errors_exit_2_with_usage_and_runtime_failures_exit_1_without() {
+    let out = Command::new(env!("CARGO_BIN_EXE_xpulpnn"))
+        .args(["run", "p.s", "--bogus"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(stderr.contains("--bogus"), "{stderr}");
+    assert!(
+        stderr.contains("\nusage:\n  xpulpnn run <file.s>"),
+        "{stderr}"
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_xpulpnn"))
+        .args(["run", "/nonexistent/xpulpnn-exit-codes.s"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: cannot read"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }

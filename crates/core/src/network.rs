@@ -723,7 +723,9 @@ fn run_layer(
         &ArmConfig {
             budget,
             checkpoint_interval: interval,
-            trace_depth: 64,
+            // `NetworkRun` carries no trap diagnostics, so a trapped
+            // layer skips the traced re-run.
+            trace_depth: 0,
         },
     );
     let mut spent = armed.perf.cycles;

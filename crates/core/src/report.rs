@@ -58,7 +58,8 @@ impl HotspotProfile {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal.
+pub(crate) fn escape_json(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],
